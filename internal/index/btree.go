@@ -3,6 +3,8 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 
 	"pipette/internal/sim"
@@ -19,21 +21,30 @@ import (
 // Node cell layout (NodeBytes total):
 //
 //	[0]      magic (btMagic)
-//	[1]      flags (bit 0: leaf)
+//	[1]      flags (bit 0: leaf; no other bit may be set)
 //	[2:4]    entry count, uint16 LE
 //	[4:8]    link, uint32 LE — next-leaf id for leaves, leftmost child for
 //	         interior nodes (0 = none)
 //	[8:10]   used entry bytes, uint16 LE
-//	[10:14]  FNV-32a checksum over bytes [1:10] ++ entries
-//	[14:]    entries, sorted by key:
+//	[10:14]  CRC-32C (Castagnoli) over bytes [1:10] ++ entries
+//	[14:]    entries, sorted by key, filling exactly used bytes; zero after:
 //	         leaf:     [klen u16][key][seg u32][off u64][vallen u32]
 //	         interior: [klen u16][key][child u32]
 //
 // An interior node's link child covers keys below its first separator;
 // entry i's child covers [key_i, key_i+1). The checksum makes a torn or
-// bit-flipped cell self-identifying, mirroring the value-log records: the
-// engine refuses to decode damage rather than serve a wrong Loc (and the
-// store rebuilds the whole index from the checksummed log at Open anyway).
+// bit-flipped cell self-identifying: the engine refuses a damaged cell
+// rather than serve a wrong Loc (and the store rebuilds the whole index
+// from the checksummed log at Open anyway).
+//
+// Cells are not decoded to be read. Each one is read into a reusable
+// per-depth buffer and validated once — magic, flags, the used bound,
+// every entry's bounds and the checksum — before any byte is used; lookups
+// and descents then search the encoded entries in place, and an overwrite
+// patches the leaf's Loc in place and re-checksums the cell. Only
+// structural changes (new keys, splits, deletes, merges, borrows) decode
+// the cells the descent already read into reusable nodes, modify those and
+// encode them back.
 const (
 	btMagic   = 0xB7
 	btHdrSize = 14
@@ -42,12 +53,127 @@ const (
 )
 
 const (
-	btLeafExtra     = 2 + 16 // klen + Loc(seg, off, vallen)
-	btInteriorExtra = 2 + 4  // klen + child id
+	btLeafExtra     = 2 + locBytes // klen + Loc(seg, off, vallen)
+	btInteriorExtra = 2 + 4        // klen + child id
 )
 
-// btNode is one decoded node. keys pairs with locs (leaf) or kids
-// (interior); link is the next leaf or the leftmost child.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// cellSum is a cell's checksum over its header and its used entry bytes.
+func cellSum(b []byte, used int) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, b[1:10]), castagnoli, b[btHdrSize:btHdrSize+used])
+}
+
+// btCell is one node cell as read. validate checks it once and records
+// where each entry starts, so the accessors index the bytes unchecked.
+type btCell struct {
+	id  uint32
+	b   []byte // NodeBytes
+	off []int  // entry start offsets, then the end of the last entry
+}
+
+func newCell(nodeBytes int) btCell {
+	// The smallest entry is an interior one with an empty key, which bounds
+	// the entry count and so off's length.
+	return btCell{b: make([]byte, nodeBytes), off: make([]int, 0, (nodeBytes-btHdrSize)/btInteriorExtra+1)}
+}
+
+func (c *btCell) leaf() bool   { return c.b[1]&btFlagLeaf != 0 }
+func (c *btCell) link() uint32 { return binary.LittleEndian.Uint32(c.b[4:8]) }
+func (c *btCell) count() int   { return len(c.off) - 1 }
+
+func (c *btCell) keyEnd(i int) int {
+	p := c.off[i]
+	return p + 2 + int(binary.LittleEndian.Uint16(c.b[p:p+2]))
+}
+
+func (c *btCell) key(i int) []byte { return c.b[c.off[i]+2 : c.keyEnd(i)] }
+
+func (c *btCell) loc(i int) Loc { return decodeLoc(c.b[c.keyEnd(i):]) }
+
+func (c *btCell) kid(i int) uint32 { return binary.LittleEndian.Uint32(c.b[c.keyEnd(i):]) }
+
+// validate checks the cell read for node id before any of it is used.
+func (c *btCell) validate(id uint32) error {
+	b := c.b
+	c.id = id
+	c.off = c.off[:0]
+	if b[0] != btMagic {
+		return fmt.Errorf("index: btree node %d: bad magic 0x%02x", id, b[0])
+	}
+	if b[1]&^btFlagLeaf != 0 {
+		return fmt.Errorf("index: btree node %d: bad flags 0x%02x", id, b[1])
+	}
+	count := int(binary.LittleEndian.Uint16(b[2:4]))
+	used := int(binary.LittleEndian.Uint16(b[8:10]))
+	if btHdrSize+used > len(b) {
+		return fmt.Errorf("index: btree node %d: used %d overflows cell", id, used)
+	}
+	if cellSum(b, used) != binary.LittleEndian.Uint32(b[10:14]) {
+		return fmt.Errorf("index: btree node %d: checksum mismatch", id)
+	}
+	extra := btInteriorExtra
+	if c.leaf() {
+		extra = btLeafExtra
+	}
+	end := btHdrSize + used
+	p := btHdrSize
+	for i := 0; i < count; i++ {
+		if p+2 > end {
+			return fmt.Errorf("index: btree node %d: entry %d overflows used %d", id, i, used)
+		}
+		c.off = append(c.off, p)
+		p += int(binary.LittleEndian.Uint16(b[p:p+2])) + extra
+	}
+	if p != end {
+		return fmt.Errorf("index: btree node %d: %d entries span %d of used %d bytes", id, count, p-btHdrSize, used)
+	}
+	c.off = append(c.off, p)
+	return nil
+}
+
+// search returns key's slot among the cell's sorted keys and whether it is
+// present. The string conversions only compare, so they do not allocate.
+func (c *btCell) search(key string) (int, bool) {
+	lo, hi := 0, c.count()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if string(c.key(m)) < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < c.count() && string(c.key(lo)) == key
+}
+
+// childFor picks the child covering key in an interior cell, and its slot
+// (-1 = the link child).
+func (c *btCell) childFor(key string) (uint32, int) {
+	// First separator greater than key; the child before it covers key.
+	i, ok := c.search(key)
+	if ok {
+		i++
+	}
+	if i == 0 {
+		return c.link(), -1
+	}
+	return c.kid(i - 1), i - 1
+}
+
+// setLoc overwrites leaf entry i's Loc in place and re-checksums the cell.
+// validate admitted only exact flags and entries that fill used exactly,
+// so once the tail past them is zero the cell is byte-identical to what
+// encode makes of the decoded node with that Loc replaced.
+func (c *btCell) setLoc(i int, l Loc) {
+	encodeLoc(c.b[c.keyEnd(i):], l)
+	end := c.off[len(c.off)-1]
+	clear(c.b[end:])
+	binary.LittleEndian.PutUint32(c.b[10:14], cellSum(c.b, end-btHdrSize))
+}
+
+// btNode is one decoded node, for structural changes. keys pairs with locs
+// (leaf) or kids (interior); link is the next leaf or the leftmost child.
 type btNode struct {
 	id   uint32
 	leaf bool
@@ -55,6 +181,47 @@ type btNode struct {
 	keys []string
 	locs []Loc
 	kids []uint32
+}
+
+// decode rebuilds c's node into n, reusing n's slices.
+func (c *btCell) decode(n *btNode) {
+	n.id, n.leaf, n.link = c.id, c.leaf(), c.link()
+	n.keys, n.locs, n.kids = n.keys[:0], n.locs[:0], n.kids[:0]
+	for i := 0; i < c.count(); i++ {
+		n.keys = append(n.keys, string(c.key(i)))
+		if n.leaf {
+			n.locs = append(n.locs, c.loc(i))
+		} else {
+			n.kids = append(n.kids, c.kid(i))
+		}
+	}
+}
+
+// encode renders n into the cell buffer b.
+func (n *btNode) encode(b []byte) {
+	clear(b)
+	b[0] = btMagic
+	if n.leaf {
+		b[1] = btFlagLeaf
+	}
+	binary.LittleEndian.PutUint16(b[2:4], uint16(len(n.keys)))
+	binary.LittleEndian.PutUint32(b[4:8], n.link)
+	p := btHdrSize
+	for i, k := range n.keys {
+		binary.LittleEndian.PutUint16(b[p:p+2], uint16(len(k)))
+		copy(b[p+2:], k)
+		p += 2 + len(k)
+		if n.leaf {
+			encodeLoc(b[p:], n.locs[i])
+			p += locBytes
+		} else {
+			binary.LittleEndian.PutUint32(b[p:p+4], n.kids[i])
+			p += 4
+		}
+	}
+	used := p - btHdrSize
+	binary.LittleEndian.PutUint16(b[8:10], uint16(used))
+	binary.LittleEndian.PutUint32(b[10:14], cellSum(b, used))
 }
 
 func (n *btNode) used() int {
@@ -67,6 +234,14 @@ func (n *btNode) used() int {
 		}
 	}
 	return u
+}
+
+// childAt resolves a parent's child pointer by slot (-1 = link).
+func (n *btNode) childAt(slot int) uint32 {
+	if slot < 0 {
+		return n.link
+	}
+	return n.kids[slot]
 }
 
 // arena is one fixed-size node file.
@@ -89,7 +264,18 @@ type btreeEngine struct {
 	height int
 
 	stats Stats
-	buf   []byte // node codec scratch
+
+	// Per-depth state of the last descent (depth 0 = root): the cell read,
+	// the child slot taken from it, and the node it decodes to when a
+	// structural change needs one.
+	cells []btCell
+	slots []int
+	nodes []btNode
+
+	sib     btCell // a sibling read by rebalancing
+	sibNode btNode
+	right   btNode // the new right half of a split
+	buf     []byte // encode scratch
 }
 
 func newBTree(be Backend, cfg Config) (*btreeEngine, error) {
@@ -105,6 +291,7 @@ func newBTree(be Backend, cfg Config) (*btreeEngine, error) {
 		cfg:    cfg,
 		tr:     cfg.Tracer,
 		nextID: 1,
+		sib:    newCell(cfg.NodeBytes),
 		buf:    make([]byte, cfg.NodeBytes),
 	}
 	// The tree starts as one empty leaf root; the first arena is created by
@@ -172,224 +359,132 @@ func (t *btreeEngine) place(id uint32) (*arena, int64) {
 	return &t.arenas[slot/t.cfg.ArenaNodes], int64(slot%t.cfg.ArenaNodes) * int64(t.cfg.NodeBytes)
 }
 
-// readNode fetches and decodes one node — a timed sub-page read down the
-// configured path (the vfs page cache and fine-grained cache sit below, so
-// hot upper levels hit host memory exactly as they would on real hardware).
-func (t *btreeEngine) readNode(now sim.Time, id uint32) (*btNode, sim.Time, error) {
+// read fetches node id into c and validates it — a timed sub-page read
+// down the configured path (the vfs page cache and fine-grained cache sit
+// below, so hot upper levels hit host memory exactly as they would on real
+// hardware).
+func (t *btreeEngine) read(now sim.Time, id uint32, c *btCell) (sim.Time, error) {
+	if id == 0 || id >= t.nextID {
+		return now, fmt.Errorf("index: btree node id %d out of range", id)
+	}
 	ar, off := t.place(id)
 	start := now
-	got, done, err := ar.r.ReadAt(now, t.buf, off)
+	got, done, err := ar.r.ReadAt(now, c.b, off)
 	if err != nil {
-		return nil, done, fmt.Errorf("index: btree node %d: %w", id, err)
+		return done, fmt.Errorf("index: btree node %d: %w", id, err)
 	}
 	if got != t.cfg.NodeBytes {
-		return nil, done, fmt.Errorf("index: btree node %d: short read %d", id, got)
+		return done, fmt.Errorf("index: btree node %d: short read %d", id, got)
 	}
 	t.stats.NodeReads++
 	t.stats.BytesRead += uint64(got)
 	if t.tr.Enabled() {
 		t.tr.Span(telemetry.TrackIndex, "index.btree.node_read", start, done)
 	}
-	n, err := t.decode(id, t.buf)
-	return n, done, err
+	return done, c.validate(id)
 }
 
-func (t *btreeEngine) decode(id uint32, b []byte) (*btNode, error) {
-	if b[0] != btMagic {
-		return nil, fmt.Errorf("index: btree node %d: bad magic 0x%02x", id, b[0])
-	}
-	count := int(binary.LittleEndian.Uint16(b[2:4]))
-	used := int(binary.LittleEndian.Uint16(b[8:10]))
-	if btHdrSize+used > len(b) {
-		return nil, fmt.Errorf("index: btree node %d: used %d overflows cell", id, used)
-	}
-	if sum := fnv32a(b[1:10], b[btHdrSize:btHdrSize+used]); sum != binary.LittleEndian.Uint32(b[10:14]) {
-		return nil, fmt.Errorf("index: btree node %d: checksum mismatch", id)
-	}
-	n := &btNode{
-		id:   id,
-		leaf: b[1]&btFlagLeaf != 0,
-		link: binary.LittleEndian.Uint32(b[4:8]),
-		keys: make([]string, 0, count),
-	}
-	if n.leaf {
-		n.locs = make([]Loc, 0, count)
-	} else {
-		n.kids = make([]uint32, 0, count)
-	}
-	p := btHdrSize
-	for i := 0; i < count; i++ {
-		if p+2 > btHdrSize+used {
-			return nil, fmt.Errorf("index: btree node %d: truncated entry %d", id, i)
-		}
-		klen := int(binary.LittleEndian.Uint16(b[p : p+2]))
-		extra := btInteriorExtra
-		if n.leaf {
-			extra = btLeafExtra
-		}
-		if p+klen+extra > btHdrSize+used {
-			return nil, fmt.Errorf("index: btree node %d: entry %d overflows cell", id, i)
-		}
-		key := string(b[p+2 : p+2+klen])
-		p += 2 + klen
-		n.keys = append(n.keys, key)
-		if n.leaf {
-			n.locs = append(n.locs, Loc{
-				Seg:    binary.LittleEndian.Uint32(b[p : p+4]),
-				Off:    int64(binary.LittleEndian.Uint64(b[p+4 : p+12])),
-				ValLen: binary.LittleEndian.Uint32(b[p+12 : p+16]),
-			})
-			p += 16
-		} else {
-			n.kids = append(n.kids, binary.LittleEndian.Uint32(b[p:p+4]))
-			p += 4
-		}
-	}
-	return n, nil
-}
-
-// writeNode encodes and writes one node cell — a timed sub-page write that
-// lands in the page cache and reaches the device via writeback, like every
-// other host write.
-func (t *btreeEngine) writeNode(now sim.Time, n *btNode) (sim.Time, error) {
-	b := t.buf
-	for i := range b {
-		b[i] = 0
-	}
-	b[0] = btMagic
-	b[1] = 0
-	if n.leaf {
-		b[1] = btFlagLeaf
-	}
-	binary.LittleEndian.PutUint16(b[2:4], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint32(b[4:8], n.link)
-	p := btHdrSize
-	for i, k := range n.keys {
-		binary.LittleEndian.PutUint16(b[p:p+2], uint16(len(k)))
-		copy(b[p+2:], k)
-		p += 2 + len(k)
-		if n.leaf {
-			binary.LittleEndian.PutUint32(b[p:p+4], n.locs[i].Seg)
-			binary.LittleEndian.PutUint64(b[p+4:p+12], uint64(n.locs[i].Off))
-			binary.LittleEndian.PutUint32(b[p+12:p+16], n.locs[i].ValLen)
-			p += 16
-		} else {
-			binary.LittleEndian.PutUint32(b[p:p+4], n.kids[i])
-			p += 4
-		}
-	}
-	used := p - btHdrSize
-	binary.LittleEndian.PutUint16(b[8:10], uint16(used))
-	binary.LittleEndian.PutUint32(b[10:14], fnv32a(b[1:10], b[btHdrSize:p]))
-
-	ar, off := t.place(n.id)
+// writeCell writes one node cell — a timed sub-page write that lands in the
+// page cache and reaches the device via writeback, like every other host
+// write.
+func (t *btreeEngine) writeCell(now sim.Time, id uint32, b []byte) (sim.Time, error) {
+	ar, off := t.place(id)
 	wrote, done, err := ar.w.WriteAt(now, b, off)
 	if err != nil {
-		return done, fmt.Errorf("index: btree node %d: %w", n.id, err)
+		return done, fmt.Errorf("index: btree node %d: %w", id, err)
 	}
 	if wrote != len(b) {
-		return done, fmt.Errorf("index: btree node %d: short write %d", n.id, wrote)
+		return done, fmt.Errorf("index: btree node %d: short write %d", id, wrote)
 	}
 	t.stats.NodeWrites++
 	t.stats.BytesWritten += uint64(len(b))
 	return done, nil
 }
 
-// childFor picks the child covering key in an interior node.
-func (n *btNode) childFor(key string) (uint32, int) {
-	// First separator greater than key; the child before it covers key.
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-	if i == 0 {
-		return n.link, -1
-	}
-	return n.kids[i-1], i - 1
+func (t *btreeEngine) writeNode(now sim.Time, n *btNode) (sim.Time, error) {
+	n.encode(t.buf)
+	return t.writeCell(now, n.id, t.buf)
 }
 
-// find returns key's slot in a sorted key list and whether it is present.
-func find(keys []string, key string) (int, bool) {
-	i := sort.SearchStrings(keys, key)
-	return i, i < len(keys) && keys[i] == key
+// descend reads root -> leaf for key into the per-depth cells, recording
+// the child slot taken at each interior level, and returns the leaf cell
+// (depth height-1).
+func (t *btreeEngine) descend(now sim.Time, key string) (*btCell, sim.Time, error) {
+	for len(t.cells) < t.height {
+		t.cells = append(t.cells, newCell(t.cfg.NodeBytes))
+		t.slots = append(t.slots, 0)
+		t.nodes = append(t.nodes, btNode{})
+	}
+	id := t.root
+	for d := 0; ; d++ {
+		c := &t.cells[d]
+		done, err := t.read(now, id, c)
+		if err != nil {
+			return nil, done, err
+		}
+		now = done
+		leaf := d == t.height-1
+		if c.leaf() != leaf {
+			return nil, now, fmt.Errorf("index: btree node %d: leaf flag disagrees with depth %d of height %d", id, d, t.height)
+		}
+		if leaf {
+			return c, now, nil
+		}
+		id, t.slots[d] = c.childFor(key)
+	}
+}
+
+// decoded decodes the cell the last descent read at depth d.
+func (t *btreeEngine) decoded(d int) *btNode {
+	n := &t.nodes[d]
+	t.cells[d].decode(n)
+	return n
 }
 
 // ---- lookup ----
 
 func (t *btreeEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error) {
 	t.stats.Lookups++
-	id := t.root
-	for {
-		n, done, err := t.readNode(now, id)
-		if err != nil {
-			return Loc{}, false, done, err
-		}
-		now = done
-		if n.leaf {
-			i, ok := find(n.keys, key)
-			if !ok {
-				return Loc{}, false, now, nil
-			}
-			return n.locs[i], true, now, nil
-		}
-		id, _ = n.childFor(key)
+	leaf, now, err := t.descend(now, key)
+	if err != nil {
+		return Loc{}, false, now, err
 	}
+	i, ok := leaf.search(key)
+	if !ok {
+		return Loc{}, false, now, nil
+	}
+	return leaf.loc(i), true, now, nil
 }
 
 // ---- insert ----
-
-// pathStep is one interior node on the descent, with the child slot taken
-// (-1 = the link child).
-type pathStep struct {
-	node *btNode
-	slot int
-}
-
-// descend walks root -> leaf for key, returning the interior path and leaf.
-func (t *btreeEngine) descend(now sim.Time, key string) ([]pathStep, *btNode, sim.Time, error) {
-	var path []pathStep
-	id := t.root
-	for {
-		n, done, err := t.readNode(now, id)
-		if err != nil {
-			return nil, nil, done, err
-		}
-		now = done
-		if n.leaf {
-			return path, n, now, nil
-		}
-		child, slot := n.childFor(key)
-		path = append(path, pathStep{node: n, slot: slot})
-		id = child
-	}
-}
 
 func (t *btreeEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
 	t.stats.Inserts++
 	if entrySize(key) > t.capacity()/2 {
 		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B btree node", len(key), t.cfg.NodeBytes)
 	}
-	path, leaf, now, err := t.descend(now, key)
+	c, now, err := t.descend(now, key)
 	if err != nil {
 		return now, err
 	}
-	i, ok := find(leaf.keys, key)
+	i, ok := c.search(key)
 	if ok {
-		leaf.locs[i] = l
-		return t.writeNode(now, leaf)
+		c.setLoc(i, l)
+		return t.writeCell(now, c.id, c.b)
 	}
-	leaf.keys = append(leaf.keys, "")
-	copy(leaf.keys[i+1:], leaf.keys[i:])
-	leaf.keys[i] = key
-	leaf.locs = append(leaf.locs, Loc{})
-	copy(leaf.locs[i+1:], leaf.locs[i:])
-	leaf.locs[i] = l
+	d := t.height - 1
+	leaf := t.decoded(d)
+	leaf.keys = slices.Insert(leaf.keys, i, key)
+	leaf.locs = slices.Insert(leaf.locs, i, l)
 	if leaf.used() <= t.capacity() {
 		return t.writeNode(now, leaf)
 	}
-	return t.splitUp(now, path, leaf)
+	return t.splitUp(now, d, leaf)
 }
 
-// splitUp splits an overflowing node and propagates the promoted separator
-// toward the root, splitting interior nodes as needed.
-func (t *btreeEngine) splitUp(now sim.Time, path []pathStep, n *btNode) (sim.Time, error) {
+// splitUp splits the overflowing node n at depth d and propagates the
+// promoted separator toward the root, splitting interior nodes as needed.
+func (t *btreeEngine) splitUp(now sim.Time, d int, n *btNode) (sim.Time, error) {
 	for {
 		rightID, err := t.alloc()
 		if err != nil {
@@ -397,7 +492,9 @@ func (t *btreeEngine) splitUp(now sim.Time, path []pathStep, n *btNode) (sim.Tim
 		}
 		t.stats.Splits++
 		m := splitPoint(n)
-		right := &btNode{id: rightID, leaf: n.leaf}
+		right := &t.right
+		right.id, right.leaf = rightID, n.leaf
+		right.keys, right.locs, right.kids = right.keys[:0], right.locs[:0], right.kids[:0]
 		var sep string
 		if n.leaf {
 			right.keys = append(right.keys, n.keys[m:]...)
@@ -423,7 +520,7 @@ func (t *btreeEngine) splitUp(now sim.Time, path []pathStep, n *btNode) (sim.Tim
 			return now, err
 		}
 
-		if len(path) == 0 {
+		if d == 0 {
 			// Root split: the tree grows a level.
 			rootID, err := t.alloc()
 			if err != nil {
@@ -435,15 +532,11 @@ func (t *btreeEngine) splitUp(now sim.Time, path []pathStep, n *btNode) (sim.Tim
 			return t.writeNode(now, root)
 		}
 
-		parent := path[len(path)-1].node
-		path = path[:len(path)-1]
+		d--
+		parent := t.decoded(d)
 		i := sort.SearchStrings(parent.keys, sep)
-		parent.keys = append(parent.keys, "")
-		copy(parent.keys[i+1:], parent.keys[i:])
-		parent.keys[i] = sep
-		parent.kids = append(parent.kids, 0)
-		copy(parent.kids[i+1:], parent.kids[i:])
-		parent.kids[i] = rightID
+		parent.keys = slices.Insert(parent.keys, i, sep)
+		parent.kids = slices.Insert(parent.kids, i, rightID)
 		if parent.used() <= t.capacity() {
 			return t.writeNode(now, parent)
 		}
@@ -481,30 +574,32 @@ func splitPoint(n *btNode) int {
 
 func (t *btreeEngine) Delete(now sim.Time, key string) (sim.Time, error) {
 	t.stats.Deletes++
-	path, leaf, now, err := t.descend(now, key)
+	c, now, err := t.descend(now, key)
 	if err != nil {
 		return now, err
 	}
-	i, ok := find(leaf.keys, key)
+	i, ok := c.search(key)
 	if !ok {
 		return now, nil
 	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.locs = append(leaf.locs[:i], leaf.locs[i+1:]...)
+	d := t.height - 1
+	leaf := t.decoded(d)
+	leaf.keys = slices.Delete(leaf.keys, i, i+1)
+	leaf.locs = slices.Delete(leaf.locs, i, i+1)
 	if now, err = t.writeNode(now, leaf); err != nil {
 		return now, err
 	}
-	return t.rebalanceUp(now, path, leaf)
+	return t.rebalanceUp(now, d, leaf)
 }
 
-// rebalanceUp restores the underflow invariant from a shrunken node toward
-// the root: merge with an adjacent sibling when both fit in one cell,
-// otherwise borrow an entry from a fuller neighbor; a root interior node
-// left without separators collapses into its only child.
-func (t *btreeEngine) rebalanceUp(now sim.Time, path []pathStep, n *btNode) (sim.Time, error) {
+// rebalanceUp restores the underflow invariant from the shrunken node n at
+// depth d toward the root: merge with an adjacent sibling when both fit in
+// one cell, otherwise borrow an entry from a fuller neighbor; a root
+// interior node left without separators collapses into its only child.
+func (t *btreeEngine) rebalanceUp(now sim.Time, d int, n *btNode) (sim.Time, error) {
 	var err error
 	for {
-		if len(path) == 0 {
+		if d == 0 {
 			// n is the root. An interior root with no separators has one
 			// child left: the tree shrinks a level.
 			if !n.leaf && len(n.keys) == 0 {
@@ -518,22 +613,13 @@ func (t *btreeEngine) rebalanceUp(now sim.Time, path []pathStep, n *btNode) (sim
 		if n.used()*4 >= t.capacity() {
 			return now, nil
 		}
-		step := path[len(path)-1]
-		path = path[:len(path)-1]
-		parent := step.node
-		if now, err = t.rebalanceChild(now, parent, step.slot, n); err != nil {
+		d--
+		parent := t.decoded(d)
+		if now, err = t.rebalanceChild(now, parent, t.slots[d], n); err != nil {
 			return now, err
 		}
 		n = parent
 	}
-}
-
-// childAt resolves a parent's child pointer by slot (-1 = link).
-func (n *btNode) childAt(slot int) uint32 {
-	if slot < 0 {
-		return n.link
-	}
-	return n.kids[slot]
 }
 
 // rebalanceChild fixes the underfull child at slot by merging with or
@@ -544,22 +630,21 @@ func (t *btreeEngine) rebalanceChild(now sim.Time, parent *btNode, slot int, chi
 	// Prefer the right sibling; fall back to the left. slot is the child's
 	// separator index in parent (-1 when child is the link child), so the
 	// right sibling is kids[slot+1] and the left is childAt(slot-1).
+	sib := &t.sibNode
 	var err error
 	if slot+1 < len(parent.kids) {
-		var right *btNode
-		right, now, err = t.readNode(now, parent.kids[slot+1])
-		if err != nil {
+		if now, err = t.read(now, parent.kids[slot+1], &t.sib); err != nil {
 			return now, err
 		}
-		return t.joinOrBorrow(now, parent, slot+1, child, right)
+		t.sib.decode(sib)
+		return t.joinOrBorrow(now, parent, slot+1, child, sib)
 	}
 	if slot >= 0 {
-		var left *btNode
-		left, now, err = t.readNode(now, parent.childAt(slot-1))
-		if err != nil {
+		if now, err = t.read(now, parent.childAt(slot-1), &t.sib); err != nil {
 			return now, err
 		}
-		return t.joinOrBorrow(now, parent, slot, left, child)
+		t.sib.decode(sib)
+		return t.joinOrBorrow(now, parent, slot, sib, child)
 	}
 	// No sibling: parent has a single child and no separators; the caller's
 	// loop collapses it at the root.
@@ -588,8 +673,8 @@ func (t *btreeEngine) joinOrBorrow(now sim.Time, parent *btNode, sepIdx int, lef
 			left.keys = append(left.keys, right.keys...)
 			left.kids = append(left.kids, right.kids...)
 		}
-		parent.keys = append(parent.keys[:sepIdx], parent.keys[sepIdx+1:]...)
-		parent.kids = append(parent.kids[:sepIdx], parent.kids[sepIdx+1:]...)
+		parent.keys = slices.Delete(parent.keys, sepIdx, sepIdx+1)
+		parent.kids = slices.Delete(parent.kids, sepIdx, sepIdx+1)
 		t.free = append(t.free, right.id)
 		t.stats.Merges++
 		if now, err = t.writeNode(now, left); err != nil {
@@ -602,11 +687,10 @@ func (t *btreeEngine) joinOrBorrow(now sim.Time, parent *btNode, sepIdx int, lef
 	// underflow line afterwards.
 	if left.used() < right.used() && len(right.keys) > 1 {
 		if left.leaf {
-			k, l := right.keys[0], right.locs[0]
-			right.keys = right.keys[1:]
-			right.locs = right.locs[1:]
-			left.keys = append(left.keys, k)
-			left.locs = append(left.locs, l)
+			left.keys = append(left.keys, right.keys[0])
+			left.locs = append(left.locs, right.locs[0])
+			right.keys = slices.Delete(right.keys, 0, 1)
+			right.locs = slices.Delete(right.locs, 0, 1)
 			parent.keys[sepIdx] = right.keys[0]
 		} else {
 			// Rotate left through the separator: sep comes down to left,
@@ -615,22 +699,21 @@ func (t *btreeEngine) joinOrBorrow(now sim.Time, parent *btNode, sepIdx int, lef
 			left.kids = append(left.kids, right.link)
 			parent.keys[sepIdx] = right.keys[0]
 			right.link = right.kids[0]
-			right.keys = right.keys[1:]
-			right.kids = right.kids[1:]
+			right.keys = slices.Delete(right.keys, 0, 1)
+			right.kids = slices.Delete(right.kids, 0, 1)
 		}
 	} else if right.used() < left.used() && len(left.keys) > 1 {
 		last := len(left.keys) - 1
 		if left.leaf {
-			k, l := left.keys[last], left.locs[last]
+			right.keys = slices.Insert(right.keys, 0, left.keys[last])
+			right.locs = slices.Insert(right.locs, 0, left.locs[last])
+			parent.keys[sepIdx] = left.keys[last]
 			left.keys = left.keys[:last]
 			left.locs = left.locs[:last]
-			right.keys = append([]string{k}, right.keys...)
-			right.locs = append([]Loc{l}, right.locs...)
-			parent.keys[sepIdx] = k
 		} else {
 			// Rotate right through the separator.
-			right.keys = append([]string{sep}, right.keys...)
-			right.kids = append([]uint32{right.link}, right.kids...)
+			right.keys = slices.Insert(right.keys, 0, sep)
+			right.kids = slices.Insert(right.kids, 0, right.link)
 			right.link = left.kids[last]
 			parent.keys[sepIdx] = left.keys[last]
 			left.keys = left.keys[:last]
@@ -652,24 +735,29 @@ func (t *btreeEngine) joinOrBorrow(now sim.Time, parent *btNode, sepIdx int, lef
 // ---- scan ----
 
 func (t *btreeEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, Loc) (sim.Time, bool)) (sim.Time, error) {
-	_, leaf, now, err := t.descend(now, start)
+	leaf, now, err := t.descend(now, start)
 	if err != nil {
 		return now, err
 	}
-	i := sort.SearchStrings(leaf.keys, start)
+	// fn may call back into the engine, which reuses the per-depth cells:
+	// walk the leaf chain in a cell of this scan's own.
+	c := newCell(t.cfg.NodeBytes)
+	c.id = leaf.id
+	copy(c.b, leaf.b)
+	c.off = append(c.off, leaf.off...)
+	i, _ := c.search(start)
 	for {
-		for ; i < len(leaf.keys); i++ {
+		for ; i < c.count(); i++ {
 			var more bool
-			now, more = fn(now, leaf.keys[i], leaf.locs[i])
+			now, more = fn(now, string(c.key(i)), c.loc(i))
 			if !more {
 				return now, nil
 			}
 		}
-		if leaf.link == 0 {
+		if c.link() == 0 {
 			return now, nil
 		}
-		leaf, now, err = t.readNode(now, leaf.link)
-		if err != nil {
+		if now, err = t.read(now, c.link(), &c); err != nil {
 			return now, err
 		}
 		i = 0

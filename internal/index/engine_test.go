@@ -246,45 +246,6 @@ func TestBTreeSplitMerge(t *testing.T) {
 	}
 }
 
-// TestBTreeChecksumRejectsCorruption flips a bit in a node cell and checks
-// the engine returns an error instead of serving a wrong Loc.
-func TestBTreeChecksumRejectsCorruption(t *testing.T) {
-	t.Parallel()
-	be := testBackend(t, false)
-	cfg := testEngineConfig(index.BTree, false)
-	eng, err := index.New(be, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	for i := 0; i < 300; i++ {
-		if now, err = eng.Insert(now, testKey(i), index.Loc{Seg: uint32(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Node id 1 — arena 0, offset 0 — is the leftmost leaf: splits keep the
-	// left half in place, so the smallest key always lives there. Flip one
-	// payload bit in the cell.
-	w, err := be.OpenWriter("idx/bt-00000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 1)
-	if _, now, err = w.ReadAt(now, b, 20); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 1 << 3
-	if _, now, err = w.WriteAt(now, b, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := eng.Lookup(now, testKey(0)); err == nil {
-		t.Fatal("lookup through a corrupt node cell returned no error")
-	}
-}
-
 // TestLSMFlushMergeBloomCache exercises the LSM machinery: flushes, level
 // merges, bloom pruning on negative lookups, and block-cache hits on
 // repeated probes.

@@ -32,7 +32,7 @@ type run struct {
 	seq     uint64 // global allocation order; bigger = newer data
 	name    string
 	r       File
-	size    int64    // data bytes including block padding
+	size    int64 // data bytes including block padding
 	blocks  int
 	fences  []string // first key of each block
 	filter  *bloom
@@ -49,7 +49,7 @@ type lsmEngine struct {
 	nextSeq uint64
 	cache   *blockCache
 
-	stats   Stats
+	stats    Stats
 	buildBuf []byte
 }
 

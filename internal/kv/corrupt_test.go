@@ -53,9 +53,9 @@ func TestRecoverySkipsBitFlippedRecord(t *testing.T) {
 		bit   uint
 	}{
 		{"magic", 0, 3},
-		{"flags", 1, 6},   // unknown flag bit: header parse rejects
-		{"keylen", 2, 2},  // perceived record size changes
-		{"vallen", 4, 0},  // checksum read over wrong payload
+		{"flags", 1, 6},  // unknown flag bit: header parse rejects
+		{"keylen", 2, 2}, // perceived record size changes
+		{"vallen", 4, 0}, // checksum read over wrong payload
 		{"checksum", 8, 7},
 		{"payload", headerSize + 2, 5}, // a key byte: checksum mismatch
 	}
@@ -153,7 +153,7 @@ func TestRecoverySkipsConsecutiveDamage(t *testing.T) {
 	if now, err = s.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	flipBit(t, be, segName, offs[3], 0)             // record 3: magic
+	flipBit(t, be, segName, offs[3], 0)            // record 3: magic
 	flipBit(t, be, segName, offs[4]+headerSize, 1) // record 4: payload
 
 	s2, now, err := Open(now, be, cfg)
