@@ -1,9 +1,15 @@
-// Package baseline implements the five engines the paper's evaluation
-// compares (§4.1): conventional block I/O, 2B-SSD in its MMIO and DMA read
-// modes, Pipette without its fine-grained read cache, and full Pipette.
-// Each engine owns a complete simulated system (NAND, FTL, controller,
-// driver, block layer, filesystem, VFS) so runs are independent; all five
-// expose the same Engine interface to the benchmark harness.
+// Package baseline assembles simulated storage stacks and implements the
+// five engines the paper's evaluation compares (§4.1): conventional block
+// I/O, 2B-SSD in its MMIO and DMA read modes, Pipette without its
+// fine-grained read cache, and full Pipette.
+//
+// Build is the repository's one stack assembler. It wires the controller,
+// NVMe driver, block layer, filesystem, VFS and optional fine-read core,
+// and threads one stage account and one resource tracker through every
+// layer; Stack.Arm is the one place a fault injector enters. The public
+// facade, the engines here, kv cells and cluster shards all hold a Stack,
+// so runs are independent and instrumented alike. All five engines expose
+// the same Engine interface to the benchmark harness.
 package baseline
 
 import (
@@ -54,7 +60,8 @@ type Engine interface {
 	Resources() *resource.Tracker
 }
 
-// StackConfig assembles one engine's private system.
+// StackConfig configures one Build: the device, the host layers above it,
+// and the engines' per-access costs.
 type StackConfig struct {
 	SSD        ssd.Config
 	VFS        vfs.Config
@@ -63,8 +70,11 @@ type StackConfig struct {
 	NVMe       nvme.Costs
 	Depth      int // per-pair queue depth
 	QueuePairs int // NVMe SQ/CQ pairs (0 = default 4)
-	FileName   string
-	FileSize   int64
+	// FileName names the preloaded workload file Build creates; empty
+	// builds a stack without one (the KV store creates its own files).
+	// FileSize sizes that file and DefaultStackConfig's provisioning.
+	FileName string
+	FileSize int64
 
 	// TwoBSSD costs: the per-access critical-path setup the paper charges
 	// 2B-SSD with (§2.2): a page fault before MMIO access, or a DMA
@@ -74,7 +84,8 @@ type StackConfig struct {
 
 	// FaultProfile configures deterministic fault injection across the
 	// stack; the empty profile is the zero-cost default. FaultSeed drives
-	// the per-site decision streams.
+	// the per-site decision streams. The engines arm it at construction;
+	// Build alone never does (see Stack.Arm).
 	FaultProfile fault.Profile
 	FaultSeed    uint64
 }
@@ -112,27 +123,38 @@ func DefaultStackConfig(fileSize int64) StackConfig {
 	}
 }
 
-// stack is the assembled private system.
-type stack struct {
-	ctrl *ssd.Controller
-	drv  *nvme.Driver
-	blk  *blockdev.Layer
-	v    *vfs.VFS
-	file *vfs.File
-	inj  *fault.Injector // nil with an empty profile
-	sa   *telemetry.StageAccount
-	res  *resource.Tracker
+// Stack is one assembled private system: controller, NVMe driver, block
+// layer, VFS and, on a fine stack, the Pipette core, with one stage account
+// and one resource tracker shared by every layer. Build is the only
+// assembler in the repository; the facade, the baseline engines, kv cells
+// and cluster shards all hold a Stack.
+type Stack struct {
+	Ctrl *ssd.Controller
+	Drv  *nvme.Driver
+	Blk  *blockdev.Layer
+	V    *vfs.VFS
+	Core *core.Pipette // nil unless built fine
+	SA   *telemetry.StageAccount
+	Res  *resource.Tracker
+
+	file *vfs.File       // the preloaded workload file; nil without FileName
+	inj  *fault.Injector // nil until Arm installs a non-empty profile
 }
 
-func newStack(cfg StackConfig, flags vfs.OpenFlag) (*stack, error) {
-	if cfg.FileSize <= 0 {
+// Build assembles a stack from cfg. With a FileName it creates and
+// preloads the workload file, opened fine-grained when fine is set. The
+// stage account and resource tracker (registration order dma, nand, ring)
+// are wired into every layer; fine adds the core on top, wired the same
+// way. Build arms no fault injector: see Arm.
+func Build(cfg StackConfig, fine bool) (*Stack, error) {
+	if cfg.FileName != "" && cfg.FileSize <= 0 {
 		return nil, errors.New("baseline: FileSize must be positive")
 	}
 	ctrl, err := ssd.New(cfg.SSD)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(cfg.FileSize/int64(ctrl.PageSize())+1) > ctrl.LogicalPages() {
+	if cfg.FileName != "" && uint64(cfg.FileSize/int64(ctrl.PageSize())+1) > ctrl.LogicalPages() {
 		return nil, fmt.Errorf("baseline: file %d B exceeds device capacity %d pages",
 			cfg.FileSize, ctrl.LogicalPages())
 	}
@@ -145,74 +167,135 @@ func newStack(cfg StackConfig, flags vfs.OpenFlag) (*stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := extfs.New(ctrl)
-	v, err := vfs.New(fs, blk, cfg.VFS)
+	v, err := vfs.New(extfs.New(ctrl), blk, cfg.VFS)
 	if err != nil {
 		return nil, err
 	}
-	file, err := v.Create(cfg.FileName, cfg.FileSize, extfs.CreateOpts{Preload: true}, flags)
-	if err != nil {
-		return nil, err
+	s := &Stack{Ctrl: ctrl, Drv: drv, Blk: blk, V: v,
+		SA: telemetry.NewStageAccount(), Res: resource.NewTracker()}
+	if cfg.FileName != "" {
+		flags := vfs.ReadWrite
+		if fine {
+			flags |= vfs.FineGrained
+		}
+		if s.file, err = v.Create(cfg.FileName, cfg.FileSize, extfs.CreateOpts{Preload: true}, flags); err != nil {
+			return nil, err
+		}
 	}
-	s := &stack{ctrl: ctrl, drv: drv, blk: blk, v: v, file: file,
-		sa: telemetry.NewStageAccount(), res: resource.NewTracker()}
-	// Stage attribution and resource occupancy thread through every layer;
-	// registration order (dma, nand, ring) is the export row order.
-	v.SetStages(s.sa)
-	blk.SetStages(s.sa)
-	drv.SetStages(s.sa)
-	ctrl.SetStages(s.sa)
-	ctrl.SetResources(s.res)
-	drv.SetRingTimeline(s.res.Register("nvme.ring"))
-	if inj := cfg.FaultProfile.NewInjector(cfg.FaultSeed); inj != nil {
-		s.inj = inj
-		ctrl.SetInjector(inj)
-		v.SetInjector(inj)
+	v.SetStages(s.SA)
+	blk.SetStages(s.SA)
+	drv.SetStages(s.SA)
+	ctrl.SetStages(s.SA)
+	ctrl.SetResources(s.Res)
+	drv.SetRingTimeline(s.Res.Register("nvme.ring"))
+	if fine {
+		if s.Core, err = core.New(v, drv, cfg.Core); err != nil {
+			return nil, err
+		}
+		s.Core.SetStages(s.SA)
 	}
 	return s, nil
 }
 
-// faults aggregates the stack-level recovery counters; engines with a fine
-// path add their fallback counts on top.
-func (s *stack) faults() fault.Report {
-	f := s.ctrl.Faults()
-	return fault.Report{
+// Arm installs a fault injector built from prof on the controller, the VFS
+// and the core: the one place an injector enters a stack. It is a no-op
+// for an empty profile or an already armed stack.
+func (s *Stack) Arm(prof fault.Profile, seed uint64) {
+	if s.inj != nil {
+		return
+	}
+	inj := prof.NewInjector(seed)
+	if inj == nil {
+		return
+	}
+	s.inj = inj
+	s.Ctrl.SetInjector(inj)
+	s.V.SetInjector(inj)
+	if s.Core != nil {
+		s.Core.SetInjector(inj)
+	}
+}
+
+// Armed reports whether Arm installed an injector.
+func (s *Stack) Armed() bool { return s.inj != nil }
+
+// Faults aggregates the stack's injection and recovery counters, including
+// the core's fine-path fallbacks (all zeros until armed).
+func (s *Stack) Faults() fault.Report {
+	f := s.Ctrl.Faults()
+	r := fault.Report{
 		Injected:         s.inj.TotalInjected(),
 		ECCRetries:       f.ECCRetries,
 		Uncorrectable:    f.Uncorrectable,
 		RingCorruptions:  f.RingCorruptions,
 		DMACorruptions:   f.DMACorruptions,
 		ProgramRetries:   f.ProgramRetries,
-		WritebackRetries: s.v.WritebackRetries(),
+		WritebackRetries: s.V.WritebackRetries(),
+	}
+	if s.Core != nil {
+		r.RingFallbacks = s.Core.RingFallbacks()
+		r.DMAFallbacks = s.Core.DMAFallbacks()
+	}
+	return r
+}
+
+// SetTracer instruments every layer of the stack, the core included; nil
+// returns to the no-op default.
+func (s *Stack) SetTracer(tr telemetry.Tracer) {
+	tr = telemetry.OrNop(tr)
+	s.V.SetTracer(tr)
+	s.Blk.SetTracer(tr)
+	s.Drv.SetTracer(tr)
+	s.Ctrl.SetTracer(tr)
+	if s.Core != nil {
+		s.Core.SetTracer(tr)
 	}
 }
 
-// setTracer instruments every layer of the stack.
-func (s *stack) setTracer(tr telemetry.Tracer) {
-	tr = telemetry.OrNop(tr)
-	s.v.SetTracer(tr)
-	s.blk.SetTracer(tr)
-	s.drv.SetTracer(tr)
-	s.ctrl.SetTracer(tr)
+// Stages exposes the per-request stage account.
+func (s *Stack) Stages() *telemetry.StageAccount { return s.SA }
+
+// Resources exposes the resource-occupancy tracker.
+func (s *Stack) Resources() *resource.Tracker { return s.Res }
+
+// Snapshot merges VFS and, on a fine stack, core statistics into one
+// traffic and cache summary, so read amplification is comparable across
+// every stack in the repository.
+func (s *Stack) Snapshot(name string) metrics.Snapshot {
+	pc := s.V.PageCache()
+	hits, accesses, ins, evs := pc.Stats()
+	snap := metrics.Snapshot{
+		Name:      name,
+		IO:        s.V.IO(),
+		PageCache: metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs},
+		MemoryMB:  float64(pc.MemoryBytes()) / (1 << 20),
+	}
+	if p := s.Core; p != nil {
+		fio := p.IO()
+		snap.IO.BytesTransferred += fio.BytesTransferred
+		snap.IO.FineReads = fio.FineReads
+		snap.FineCache = p.CacheStats()
+		snap.MemoryMB += float64(p.MemoryBytes()) / (1 << 20)
+	}
+	return snap
 }
 
-// stackProbes builds the time series every engine shares: read
-// amplification, page-cache hit ratio, and per-channel NAND bus
-// utilization. p, when non-nil, extends them with the fine-path series
-// (fine hit ratio, adaptive threshold, resident memory, overflow FIFO,
-// HMB info-ring occupancy).
-func stackProbes(s *stack, p *core.Pipette) []telemetry.Probe {
+// Probes builds the stack's time series: read amplification, page-cache
+// hit ratio, the fine-path series on a fine stack (fine hit ratio, adaptive
+// threshold, resident memory, overflow FIFO, HMB info-ring occupancy), the
+// fault series once armed, and per-channel NAND bus utilization.
+func (s *Stack) Probes() []telemetry.Probe {
+	p := s.Core
 	probes := []telemetry.Probe{
 		telemetry.GaugeProbe("read_amp", func() float64 {
-			io := s.v.IO()
+			io := s.V.IO()
 			if p != nil {
-				fio := p.IO()
-				io.BytesTransferred += fio.BytesTransferred
+				io.BytesTransferred += p.IO().BytesTransferred
 			}
 			return io.ReadAmplification()
 		}),
 		telemetry.GaugeProbe("pc_hit_ratio", func() float64 {
-			hits, accesses, _, _ := s.v.PageCache().Stats()
+			hits, accesses, _, _ := s.V.PageCache().Stats()
 			c := metrics.Cache{Hits: hits, Accesses: accesses}
 			return c.HitRatio()
 		}),
@@ -243,13 +326,13 @@ func stackProbes(s *stack, p *core.Pipette) []telemetry.Probe {
 				return float64(s.inj.TotalInjected())
 			}),
 			telemetry.GaugeProbe("fault.ecc_retries", func() float64 {
-				return float64(s.ctrl.Faults().ECCRetries)
+				return float64(s.Ctrl.Faults().ECCRetries)
 			}),
 			telemetry.GaugeProbe("fault.uncorrectable", func() float64 {
-				return float64(s.ctrl.Faults().Uncorrectable)
+				return float64(s.Ctrl.Faults().Uncorrectable)
 			}),
 			telemetry.GaugeProbe("fault.wb_retries", func() float64 {
-				return float64(s.v.WritebackRetries())
+				return float64(s.V.WritebackRetries())
 			}),
 		)
 		if p != nil {
@@ -260,7 +343,7 @@ func stackProbes(s *stack, p *core.Pipette) []telemetry.Probe {
 			)
 		}
 	}
-	arr := s.ctrl.Array()
+	arr := s.Ctrl.Array()
 	for ch := 0; ch < arr.Config().Channels; ch++ {
 		ch := ch
 		probes = append(probes, telemetry.RateProbe(
@@ -270,86 +353,57 @@ func stackProbes(s *stack, p *core.Pipette) []telemetry.Probe {
 	return probes
 }
 
-// oracle reads the engine-consistent view: dirty page-cache content first,
-// then device content.
-func (s *stack) oracle(buf []byte, off int64) error {
-	// ReadAt through the VFS would disturb statistics; replicate the
-	// consistency rule with zero cost: dirty pages win, else flash.
-	// Harness verification happens on read-only workloads or after Sync,
-	// so flash content is authoritative; Peek avoids disturbing cache
-	// statistics.
-	return s.v.FS().Peek(s.file.Inode(), off, buf)
+// ReadAt reads the workload file through the VFS (the stack must be built
+// with a FileName).
+func (s *Stack) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
+	return s.file.ReadFull(now, buf, off)
+}
+
+// WriteAt writes the workload file through the VFS.
+func (s *Stack) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
+	_, done, err := s.file.WriteAt(now, data, off)
+	return done, err
+}
+
+// Sync exposes fsync of the workload file for harness phases.
+func (s *Stack) Sync(now sim.Time) (sim.Time, error) { return s.file.Sync(now) }
+
+// Oracle reads the workload file's authoritative content without timing.
+// ReadAt through the VFS would disturb statistics; harness verification
+// happens on read-only workloads or after Sync, so flash content is
+// authoritative and Peek leaves the caches untouched.
+func (s *Stack) Oracle(buf []byte, off int64) error {
+	return s.V.FS().Peek(s.file.Inode(), off, buf)
+}
+
+// buildArmed is the baseline engines' constructor: Build, then arm the
+// configured fault profile at construction.
+func buildArmed(cfg StackConfig, fine bool) (*Stack, error) {
+	s, err := Build(cfg, fine)
+	if err != nil {
+		return nil, err
+	}
+	s.Arm(cfg.FaultProfile, cfg.FaultSeed)
+	return s, nil
 }
 
 // BlockIO is the conventional read path: page cache + read-ahead + block
 // layer, no byte-granular anything.
 type BlockIO struct {
-	s *stack
+	*Stack
 }
 
 // NewBlockIO builds the block I/O engine.
 func NewBlockIO(cfg StackConfig) (*BlockIO, error) {
-	s, err := newStack(cfg, vfs.ReadWrite)
+	s, err := buildArmed(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	return &BlockIO{s: s}, nil
+	return &BlockIO{s}, nil
 }
 
 // Name implements Engine.
 func (e *BlockIO) Name() string { return "Block I/O" }
 
-// ReadAt implements Engine.
-func (e *BlockIO) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
-	return e.s.file.ReadFull(now, buf, off)
-}
-
-// WriteAt implements Engine.
-func (e *BlockIO) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
-	_, done, err := e.s.file.WriteAt(now, data, off)
-	return done, err
-}
-
 // Snapshot implements Engine.
-func (e *BlockIO) Snapshot() metrics.Snapshot {
-	return snapshotOf(e.Name(), e.s, nil)
-}
-
-// Oracle implements Engine.
-func (e *BlockIO) Oracle(buf []byte, off int64) error { return e.s.oracle(buf, off) }
-
-// SetTracer implements Engine.
-func (e *BlockIO) SetTracer(tr telemetry.Tracer) { e.s.setTracer(tr) }
-
-// Probes implements Engine.
-func (e *BlockIO) Probes() []telemetry.Probe { return stackProbes(e.s, nil) }
-
-// Faults implements Engine.
-func (e *BlockIO) Faults() fault.Report { return e.s.faults() }
-
-// Stages implements Engine.
-func (e *BlockIO) Stages() *telemetry.StageAccount { return e.s.sa }
-
-// Resources implements Engine.
-func (e *BlockIO) Resources() *resource.Tracker { return e.s.res }
-
-// Sync exposes fsync for harness phases.
-func (e *BlockIO) Sync(now sim.Time) (sim.Time, error) { return e.s.file.Sync(now) }
-
-// snapshotOf merges VFS and (optionally) Pipette statistics.
-func snapshotOf(name string, s *stack, p *core.Pipette) metrics.Snapshot {
-	snap := metrics.Snapshot{Name: name}
-	io := s.v.IO()
-	snap.IO = io
-	hits, accesses, ins, evs := s.v.PageCache().Stats()
-	snap.PageCache = metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs}
-	snap.MemoryMB = float64(s.v.PageCache().MemoryBytes()) / (1 << 20)
-	if p != nil {
-		fio := p.IO()
-		snap.IO.BytesTransferred += fio.BytesTransferred
-		snap.IO.FineReads = fio.FineReads
-		snap.FineCache = p.CacheStats()
-		snap.MemoryMB += float64(p.MemoryBytes()) / (1 << 20)
-	}
-	return snap
-}
+func (e *BlockIO) Snapshot() metrics.Snapshot { return e.Stack.Snapshot(e.Name()) }

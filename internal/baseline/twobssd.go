@@ -3,12 +3,9 @@ package baseline
 import (
 	"fmt"
 
-	"pipette/internal/fault"
 	"pipette/internal/metrics"
-	"pipette/internal/resource"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
-	"pipette/internal/vfs"
 )
 
 // TwoBSSDMode selects the byte-interface transfer mechanism.
@@ -26,8 +23,14 @@ const (
 // page fault before MMIO loads, or a DMA mapping before a DMA transfer —
 // and bypassing the I/O stack entirely, so there is no host-side caching
 // of any kind ("without supporting data locality").
+//
+// The byte interface is read-side, as the paper evaluates reads: writes
+// take the stack's conventional buffered path. Byte-interface reads bypass
+// the page cache, so they observe pre-writeback flash content until Sync —
+// a real limitation of the baseline the paper calls out ("simply bypasses
+// the I/O stack").
 type TwoBSSD struct {
-	s    *stack
+	*Stack
 	mode TwoBSSDMode
 	cfg  StackConfig
 
@@ -39,11 +42,11 @@ type TwoBSSD struct {
 
 // NewTwoBSSD builds the baseline in the given mode.
 func NewTwoBSSD(cfg StackConfig, mode TwoBSSDMode) (*TwoBSSD, error) {
-	s, err := newStack(cfg, vfs.ReadWrite)
+	s, err := buildArmed(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	return &TwoBSSD{s: s, mode: mode, cfg: cfg}, nil
+	return &TwoBSSD{Stack: s, mode: mode, cfg: cfg}, nil
 }
 
 // Name implements Engine.
@@ -60,20 +63,20 @@ func (e *TwoBSSD) Name() string {
 // bypasses the VFS, so the engine owns the stage-account request scope
 // itself.
 func (e *TwoBSSD) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
-	e.s.sa.Begin(now)
+	e.SA.Begin(now)
 	done, err := e.readAt(now, buf, off)
-	e.s.sa.Finish(done)
+	e.SA.Finish(done)
 	return done, err
 }
 
 func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
 	n := len(buf)
-	if off < 0 || off+int64(n) > e.s.file.Size() {
+	if off < 0 || off+int64(n) > e.file.Size() {
 		return now, fmt.Errorf("baseline: 2B-SSD read [%d,+%d) out of file", off, n)
 	}
 	e.io.BytesRequested += uint64(n)
-	ps := e.s.ctrl.PageSize()
-	lbas, err := e.s.file.Inode().AppendLBAs(e.lbaScratch[:0], off, n, ps)
+	ps := e.Ctrl.PageSize()
+	lbas, err := e.file.Inode().AppendLBAs(e.lbaScratch[:0], off, n, ps)
 	e.lbaScratch = lbas[:0]
 	if err != nil {
 		return now, err
@@ -87,7 +90,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	case DMA:
 		now += e.cfg.DMAMap
 	}
-	e.s.sa.Mark(telemetry.StageConstruct, now)
+	e.SA.Mark(telemetry.StageConstruct, now)
 
 	// Load pages to the CMB; issue together, wait for the last.
 	if cap(e.slotScratch) < len(lbas) {
@@ -96,7 +99,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	slots := e.slotScratch[:len(lbas)]
 	loadDone := now
 	for i, lba := range lbas {
-		slot, done, err := e.s.ctrl.LoadToCMB(now, lba)
+		slot, done, err := e.Ctrl.LoadToCMB(now, lba)
 		if err != nil {
 			// The failed access still waits for its racing loads.
 			if done > loadDone {
@@ -111,7 +114,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	}
 
 	// Close the racing loads' attribution window at the last completion.
-	e.s.sa.Mark(telemetry.StageNAND, loadDone)
+	e.SA.Mark(telemetry.StageNAND, loadDone)
 
 	// Transfer the demanded window page by page.
 	t := loadDone
@@ -133,9 +136,9 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 		var done sim.Time
 		var terr error
 		if e.mode == MMIO {
-			done, terr = e.s.ctrl.MMIORead(t, slots[i], inPage, dst)
+			done, terr = e.Ctrl.MMIORead(t, slots[i], inPage, dst)
 		} else {
-			done, terr = e.s.ctrl.DMAReadFromCMB(t, slots[i], inPage, dst)
+			done, terr = e.Ctrl.DMAReadFromCMB(t, slots[i], inPage, dst)
 		}
 		if terr != nil {
 			return t, terr
@@ -147,20 +150,9 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	return t, nil
 }
 
-// WriteAt implements Engine. 2B-SSD's byte interface is read-side here (the
-// paper evaluates reads); writes take the conventional buffered path. Note
-// the consistency gap this implies — byte-interface reads bypass the page
-// cache, so they can observe pre-writeback flash content — is a real
-// limitation of the baseline the paper calls out ("simply bypasses the I/O
-// stack").
-func (e *TwoBSSD) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
-	_, done, err := e.s.file.WriteAt(now, data, off)
-	return done, err
-}
-
 // Snapshot implements Engine.
 func (e *TwoBSSD) Snapshot() metrics.Snapshot {
-	snap := snapshotOf(e.Name(), e.s, nil)
+	snap := e.Stack.Snapshot(e.Name())
 	snap.IO.BytesRequested += e.io.BytesRequested
 	snap.IO.BytesTransferred += e.io.BytesTransferred
 	snap.IO.FineReads = e.io.FineReads
@@ -168,25 +160,3 @@ func (e *TwoBSSD) Snapshot() metrics.Snapshot {
 	snap.MemoryMB = 0
 	return snap
 }
-
-// Oracle implements Engine.
-func (e *TwoBSSD) Oracle(buf []byte, off int64) error { return e.s.oracle(buf, off) }
-
-// SetTracer implements Engine.
-func (e *TwoBSSD) SetTracer(tr telemetry.Tracer) { e.s.setTracer(tr) }
-
-// Probes implements Engine.
-func (e *TwoBSSD) Probes() []telemetry.Probe { return stackProbes(e.s, nil) }
-
-// Faults implements Engine.
-func (e *TwoBSSD) Faults() fault.Report { return e.s.faults() }
-
-// Stages implements Engine.
-func (e *TwoBSSD) Stages() *telemetry.StageAccount { return e.s.sa }
-
-// Resources implements Engine.
-func (e *TwoBSSD) Resources() *resource.Tracker { return e.s.res }
-
-// Sync flushes buffered writes to flash — after which the byte interface
-// observes them.
-func (e *TwoBSSD) Sync(now sim.Time) (sim.Time, error) { return e.s.file.Sync(now) }

@@ -82,7 +82,7 @@ func RunAblation(s Scale, p *Pool) (*metrics.Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: ablation %s: %w", v.Name, err)
 				}
-				outs[vi] = ablOut{res: res, finalT: eng.Core().Threshold()}
+				outs[vi] = ablOut{res: res, finalT: eng.Core.Threshold()}
 				return res, nil
 			},
 		})

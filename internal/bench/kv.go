@@ -7,20 +7,14 @@ import (
 	"strings"
 
 	"pipette/internal/baseline"
-	"pipette/internal/blockdev"
 	"pipette/internal/buildinfo"
-	"pipette/internal/core"
-	"pipette/internal/extfs"
 	"pipette/internal/index"
 	"pipette/internal/kv"
 	"pipette/internal/metrics"
-	"pipette/internal/nvme"
 	"pipette/internal/report"
 	"pipette/internal/resource"
 	"pipette/internal/sim"
-	"pipette/internal/ssd"
 	"pipette/internal/telemetry"
-	"pipette/internal/vfs"
 	"pipette/internal/workload"
 )
 
@@ -92,25 +86,18 @@ func kvNegKey(i int, records uint64) string {
 	return kvKey(sim.Mix64(uint64(i)*0x9e3779b97f4a7c15^0xab5e17)%records) + "x"
 }
 
-// kvStack is the raw private system one cell runs over; unlike the baseline
-// engines there is no preloaded workload file — the store creates its own
-// segment files.
-type kvStack struct {
-	ctrl *ssd.Controller
-	v    *vfs.VFS
-	pip  *core.Pipette // nil for the block engine
-	sa   *telemetry.StageAccount
-	res  *resource.Tracker
-}
-
 // newKVStack assembles a stack sized for datasetBytes of live records, with
 // caches budgeted at an eighth of the dataset so both engines miss — the
 // regime where the read path's granularity shows. Capacity is 4x the live
 // set: segments churn (live + dead + headroom) and the on-disk index
-// engines add arena and run files of their own.
-func newKVStack(s Scale, fine bool) (*kvStack, error) {
+// engines add arena and run files of their own. Unlike the baseline
+// engines there is no preloaded workload file — the store creates its own
+// segment files — and the device has one NVMe queue pair.
+func newKVStack(s Scale, fine bool) (*baseline.Stack, error) {
 	datasetBytes := int64(s.KVRecords) * kvAvgRecordBytes
 	cfg := baseline.DefaultStackConfig(datasetBytes * 4)
+	cfg.FileName = ""
+	cfg.QueuePairs = 1
 	cachePages := int(datasetBytes / 4096 / 8)
 	if cachePages < 64 {
 		cachePages = 64
@@ -126,55 +113,7 @@ func newKVStack(s Scale, fine bool) (*kvStack, error) {
 	cfg.Core.HMB.DataBytes = fineBytes
 	cfg.Core.OverflowMaxBytes = fineBytes
 	cfg.Core.PageCacheFloorPages = cachePages / 8
-
-	ctrl, err := ssd.New(cfg.SSD)
-	if err != nil {
-		return nil, err
-	}
-	drv := nvme.NewDriver(ctrl, cfg.Depth, cfg.NVMe)
-	blk, err := blockdev.New(drv, ctrl.PageSize(), cfg.Block)
-	if err != nil {
-		return nil, err
-	}
-	fs := extfs.New(ctrl)
-	v, err := vfs.New(fs, blk, cfg.VFS)
-	if err != nil {
-		return nil, err
-	}
-	st := &kvStack{ctrl: ctrl, v: v,
-		sa: telemetry.NewStageAccount(), res: resource.NewTracker()}
-	// Same attribution wiring as the baseline engines, so kv cells carry
-	// the stage waterfall and resource occupancy too.
-	v.SetStages(st.sa)
-	blk.SetStages(st.sa)
-	drv.SetStages(st.sa)
-	ctrl.SetStages(st.sa)
-	ctrl.SetResources(st.res)
-	drv.SetRingTimeline(st.res.Register("nvme.ring"))
-	if fine {
-		p, err := core.New(v, drv, cfg.Core)
-		if err != nil {
-			return nil, err
-		}
-		st.pip = p
-	}
-	return st, nil
-}
-
-// snapshot merges the stack's VFS and fine-path statistics, mirroring the
-// baseline engines' accounting so read amplification is comparable.
-func (st *kvStack) snapshot(name string) metrics.Snapshot {
-	snap := metrics.Snapshot{Name: name}
-	snap.IO = st.v.IO()
-	hits, accesses, ins, evs := st.v.PageCache().Stats()
-	snap.PageCache = metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs}
-	if st.pip != nil {
-		fio := st.pip.IO()
-		snap.IO.BytesTransferred += fio.BytesTransferred
-		snap.IO.FineReads = fio.FineReads
-		snap.FineCache = st.pip.CacheStats()
-	}
-	return snap
+	return baseline.Build(cfg, fine)
 }
 
 // kvSegmentBytes picks the store's segment size for the scale: enough
@@ -228,7 +167,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	if err != nil {
 		return nil, err
 	}
-	store, now, err := kv.Open(0, kv.VFSBackend{V: st.v}, kv.Config{
+	store, now, err := kv.Open(0, kv.VFSBackend{V: st.V}, kv.Config{
 		SegmentBytes: kvSegmentBytes(s),
 		FineReads:    fine,
 		Index:        kvIndexConfig(s, kind),
@@ -265,7 +204,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	}
 	verifyEvery := ops/64 + 1
 
-	base := st.snapshot("")
+	base := st.Snapshot("")
 	baseKV := store.Stats()
 	start := now
 	res := &kvCellResult{kind: kind}
@@ -273,7 +212,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	for i := 0; i < ops; i++ {
 		req := gen.Next()
 		before := now
-		st.sa.Begin(now)
+		st.SA.Begin(now)
 		switch req.Op {
 		case workload.OpRead:
 			got, now, err = store.Get(now, kvKey(req.Key), got[:0])
@@ -316,7 +255,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 				return nil, fmt.Errorf("bench: kv %s rmw put %d: %w", wl, req.Key, err)
 			}
 		}
-		st.sa.Finish(now)
+		st.SA.Finish(now)
 		res.hist.Observe(now - before)
 		if i%kvTickEvery == kvTickEvery-1 {
 			if _, now, err = store.MaintenanceTick(now); err != nil {
@@ -325,7 +264,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		}
 	}
 
-	snap := st.snapshot("")
+	snap := st.Snapshot("")
 	subIO(&snap.IO, base.IO)
 	subCache(&snap.PageCache, base.PageCache)
 	subCache(&snap.FineCache, base.FineCache)
@@ -334,8 +273,8 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	snap.MeanLat = res.hist.Mean()
 	snap.P99Lat = res.hist.Quantile(0.99)
 	res.snap = snap
-	res.stages = st.sa.Snapshot()
-	res.resources = st.res.Snapshot(now)
+	res.stages = st.SA.Snapshot()
+	res.resources = st.Res.Snapshot(now)
 	res.store = store.Stats()
 	res.store.Puts -= baseKV.Puts
 	res.store.Gets -= baseKV.Gets
@@ -351,10 +290,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	// bytes moved across the probes are the read-amplification side of the
 	// comparison: a block-granular stack rounds every cold node or block up
 	// to a page, the fine path transfers what the index asked for.
-	preProbe := st.v.IO().BytesTransferred
-	if st.pip != nil {
-		preProbe += st.pip.IO().BytesTransferred
-	}
+	preProbe := st.Snapshot("").IO.BytesTransferred
 	for i := 0; i < kvNegProbes; i++ {
 		before := now
 		_, done, err := store.Get(now, kvNegKey(i, s.KVRecords), nil)
@@ -364,11 +300,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		now = done
 		res.negHist.Observe(now - before)
 	}
-	postProbe := st.v.IO().BytesTransferred
-	if st.pip != nil {
-		postProbe += st.pip.IO().BytesTransferred
-	}
-	res.negBytes = postProbe - preProbe
+	res.negBytes = st.Snapshot("").IO.BytesTransferred - preProbe
 	res.idx = store.IndexStats()
 	return res, nil
 }

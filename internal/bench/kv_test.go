@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"pipette/internal/index"
+	"pipette/internal/kv"
 	"pipette/internal/report"
+	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
 
 // kvMatrixTestScale shrinks the kv matrix so its 24 cells run in test time
@@ -166,5 +169,76 @@ func TestKVMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(string(exports[0]), "\"index\"") {
 		t.Errorf("export bundle carries no index summaries")
+	}
+}
+
+// TestKVStackFineStageAttribution drives fine Gets through a kv cell's
+// stack and requires the fine path's own stages in the waterfall: the
+// constructor's host work, and fine-cache hits once the cache holds
+// values. Every request still partitions its latency exactly.
+func TestKVStackFineStageAttribution(t *testing.T) {
+	t.Parallel()
+	s := kvMatrixTestScale()
+	st, err := newKVStack(s, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, now, err := kv.Open(0, kv.VFSBackend{V: st.V}, kv.Config{
+		SegmentBytes: kvSegmentBytes(s),
+		FineReads:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var val []byte
+	for k := uint64(0); k < s.KVRecords; k++ {
+		val = kvValue(val, k, 0)
+		if now, err = store.Put(now, kvKey(k), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err = store.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	st.SA.SetOnFinish(func(segs []telemetry.StageSeg, from, to sim.Time) {
+		at := from
+		for _, seg := range segs {
+			if seg.Start != at {
+				t.Errorf("segment starts at %v, want %v", seg.Start, at)
+			}
+			at = seg.End
+		}
+		if at != to {
+			t.Errorf("segments end at %v, want %v", at, to)
+		}
+	})
+	var got []byte
+	for pass := 0; pass < 2; pass++ {
+		for k := uint64(0); k < s.KVRecords; k++ {
+			st.SA.Begin(now)
+			got, now, err = store.Get(now, kvKey(k), got[:0])
+			st.SA.Finish(now)
+			if err != nil {
+				t.Fatalf("get %d: %v", k, err)
+			}
+			if val = kvValue(val, k, 0); !bytes.Equal(got, val) {
+				t.Fatalf("get %d: wrong bytes", k)
+			}
+		}
+	}
+
+	if ss := st.Snapshot(""); ss.IO.FineReads == 0 || ss.FineCache.Hits == 0 {
+		t.Fatalf("%d fine reads, %d fine-cache hits: the test misses the fine path",
+			ss.IO.FineReads, ss.FineCache.Hits)
+	}
+	snap := st.SA.Snapshot()
+	if snap.Hists[telemetry.StageConstruct].Count() == 0 {
+		t.Error("no requests attributed to construct")
+	}
+	if snap.Hists[telemetry.StageCache].Count() == 0 {
+		t.Error("fine-cache hits but no requests attributed to cache")
+	}
+	if st.SA.Gaps() != 0 || snap.Sum() != snap.Elapsed {
+		t.Errorf("conservation: gaps %d, sum %v, elapsed %v", st.SA.Gaps(), snap.Sum(), snap.Elapsed)
 	}
 }

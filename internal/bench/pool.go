@@ -14,12 +14,18 @@ import (
 // Results land in caller-provided slots addressed by cell index, so the
 // rendered tables are byte-identical to a serial run at any worker count.
 //
+// The worker budget belongs to the pool, not to one RunCells call: however
+// many experiments submit cells concurrently (RunAll runs all of them at
+// once), at most Workers() cells run at any moment. No cell calls RunCells,
+// so a cell never waits on the budget it holds.
+//
 // A nil *Pool is valid and runs cells serially, in order, without perf
 // accounting; it is what library callers that never asked for parallelism
 // (tests, the public API) pass.
 type Pool struct {
 	workers int
-	live    *Live // nil unless -listen attached a registry
+	sem     chan struct{} // one token per running cell, pool-wide
+	live    *Live         // nil unless -listen attached a registry
 
 	mu   sync.Mutex
 	perf []CellPerf
@@ -31,7 +37,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers}
+	return &Pool{workers: workers, sem: make(chan struct{}, workers)}
 }
 
 // Workers reports the concurrency bound (1 for a nil pool).
@@ -83,11 +89,16 @@ type CellPerf struct {
 	P99Us        float64 `json:"p99_us,omitempty"`
 }
 
-// RunCells executes the cells, at most Workers() at a time, and returns the
-// first error in cell order. It always drains every started cell before
+// RunCells executes the cells within the pool's worker budget and returns
+// the first error in cell order. It always drains every started cell before
 // returning, so callers may reuse the slots the cells wrote.
 func (p *Pool) RunCells(cells []Cell) error {
 	if p == nil || p.workers <= 1 {
+		if p != nil {
+			// The single token covers the whole serial run.
+			p.sem <- struct{}{}
+			defer func() { <-p.sem }()
+		}
 		for i := range cells {
 			if err := p.runCell(cells[i]); err != nil {
 				return err
@@ -96,14 +107,13 @@ func (p *Pool) RunCells(cells []Cell) error {
 		return nil
 	}
 	errs := make([]error, len(cells))
-	sem := make(chan struct{}, p.workers)
 	var wg sync.WaitGroup
 	for i := range cells {
 		wg.Add(1)
-		sem <- struct{}{}
+		p.sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer func() { <-p.sem }()
 			errs[i] = p.runCell(cells[i])
 		}(i)
 	}

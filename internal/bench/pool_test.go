@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pipette/internal/workload"
 )
@@ -158,3 +160,54 @@ func BenchmarkRunPipette(b *testing.B) { benchmarkRunEngine(b, 4) }
 // BenchmarkRunBlockIO measures per-request cost on the conventional block
 // engine.
 func BenchmarkRunBlockIO(b *testing.B) { benchmarkRunEngine(b, 0) }
+
+// TestPoolBudgetIsPoolWide submits cells from two concurrent RunCells calls
+// on a 2-worker pool, as RunAll does with its experiment goroutines, and
+// requires that no more than two cells were ever in flight at once.
+func TestPoolBudgetIsPoolWide(t *testing.T) {
+	t.Parallel()
+	p := NewPool(2)
+	var inFlight, peak atomic.Int64
+	cells := func(prefix string) []Cell {
+		var out []Cell
+		for i := 0; i < 6; i++ {
+			out = append(out, Cell{
+				Label: fmt.Sprintf("%s-%d", prefix, i),
+				Run: func() (*Result, error) {
+					n := inFlight.Add(1)
+					for {
+						old := peak.Load()
+						if n <= old || peak.CompareAndSwap(old, n) {
+							break
+						}
+					}
+					time.Sleep(2 * time.Millisecond) // hold the slot so cells overlap
+					inFlight.Add(-1)
+					return nil, nil
+				},
+			})
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, prefix := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(i int, prefix string) {
+			defer wg.Done()
+			errs[i] = p.RunCells(cells(prefix))
+		}(i, prefix)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := peak.Load(); got > 2 {
+		t.Fatalf("peak %d cells in flight on a 2-worker pool", got)
+	}
+	if got := len(p.Perf()); got != 12 {
+		t.Fatalf("perf records %d, want 12", got)
+	}
+}

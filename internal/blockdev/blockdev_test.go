@@ -21,7 +21,7 @@ func testStack(t testing.TB) (*ssd.Controller, *Layer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriver(ctrl, 64, nvme.DefaultCosts())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
 	layer, err := New(drv, ctrl.PageSize(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

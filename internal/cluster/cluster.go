@@ -244,7 +244,7 @@ func (c *Cluster) SealLoad() (sim.Time, error) {
 			return 0, fmt.Errorf("cluster: seal shard %d: %w", sh.ID, err)
 		}
 		sh.loadClock = done
-		sh.arm()
+		sh.Arm(sh.cfg.Fault, sh.cfg.FaultSeed)
 		if done > max {
 			max = done
 		}

@@ -4,18 +4,10 @@ import (
 	"fmt"
 
 	"pipette/internal/baseline"
-	"pipette/internal/blockdev"
-	"pipette/internal/core"
-	"pipette/internal/extfs"
 	"pipette/internal/fault"
 	"pipette/internal/kv"
 	"pipette/internal/metrics"
-	"pipette/internal/nvme"
-	"pipette/internal/resource"
 	"pipette/internal/sim"
-	"pipette/internal/ssd"
-	"pipette/internal/telemetry"
-	"pipette/internal/vfs"
 )
 
 // ShardConfig sizes one shard's private system. The flash is provisioned
@@ -41,20 +33,16 @@ type ShardConfig struct {
 	ECCUncorrectableFrac float64
 }
 
-// Shard is one member of the cluster: a complete simulated SSD system with
-// a log-structured KV store on top, plus the stage account and resource
-// tracker every stack in this repo carries.
+// Shard is one member of the cluster: a complete simulated SSD system
+// (built by baseline.Build, so it carries the stage account SA and the
+// resource tracker Res every stack in this repo does) with a log-structured
+// KV store on top.
 type Shard struct {
+	*baseline.Stack
 	ID    int
 	Store *kv.Store
-	SA    *telemetry.StageAccount
-	Res   *resource.Tracker
 
-	ctrl *ssd.Controller
-	v    *vfs.VFS
-	pip  *core.Pipette // nil for block-read shards
-	inj  *fault.Injector
-	cfg  ShardConfig
+	cfg ShardConfig
 
 	readBuf []byte // Get scratch, reused across executions
 
@@ -68,66 +56,22 @@ type Shard struct {
 // in place — so preload is always clean.
 func (sh *Shard) Faulted() bool { return !sh.cfg.Fault.Empty() }
 
-// arm installs the shard's fault injector; a no-op without a profile.
-func (sh *Shard) arm() {
-	if sh.cfg.Fault.Empty() || sh.inj != nil {
-		return
-	}
-	inj := sh.cfg.Fault.NewInjector(sh.cfg.FaultSeed)
-	sh.inj = inj
-	sh.ctrl.SetInjector(inj)
-	sh.v.SetInjector(inj)
-}
-
-// Faults aggregates the shard's injection/recovery counters.
-func (sh *Shard) Faults() fault.Report {
-	var r fault.Report
-	if sh.inj == nil {
-		return r
-	}
-	f := sh.ctrl.Faults()
-	r = fault.Report{
-		Injected:         sh.inj.TotalInjected(),
-		ECCRetries:       f.ECCRetries,
-		Uncorrectable:    f.Uncorrectable,
-		RingCorruptions:  f.RingCorruptions,
-		DMACorruptions:   f.DMACorruptions,
-		ProgramRetries:   f.ProgramRetries,
-		WritebackRetries: sh.v.WritebackRetries(),
-	}
-	if sh.pip != nil {
-		r.RingFallbacks = sh.pip.RingFallbacks()
-		r.DMAFallbacks = sh.pip.DMAFallbacks()
-	}
-	return r
-}
-
 // Snapshot reports the shard stack's traffic and cache statistics, the
 // same accounting the baseline engines use so read amplification is
 // comparable across the tier.
 func (sh *Shard) Snapshot() metrics.Snapshot {
-	snap := metrics.Snapshot{Name: fmt.Sprintf("shard%d", sh.ID)}
-	snap.IO = sh.v.IO()
-	hits, accesses, ins, evs := sh.v.PageCache().Stats()
-	snap.PageCache = metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs}
-	if sh.pip != nil {
-		fio := sh.pip.IO()
-		snap.IO.BytesTransferred += fio.BytesTransferred
-		snap.IO.FineReads = fio.FineReads
-		snap.FineCache = sh.pip.CacheStats()
-	}
-	return snap
+	return sh.Stack.Snapshot(fmt.Sprintf("shard%d", sh.ID))
 }
 
-// NewShard assembles one shard: controller, driver, block layer, VFS,
-// optional fine-read core, and the KV store, with stage attribution and
-// resource occupancy threaded through every layer exactly like the
-// single-device stacks.
+// NewShard assembles one shard: a one-queue-pair stack with an optional
+// fine-read core, and the KV store on top.
 func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if cfg.DatasetBytes <= 0 {
 		return nil, fmt.Errorf("cluster: shard %d needs DatasetBytes > 0", id)
 	}
 	scfg := baseline.DefaultStackConfig(cfg.DatasetBytes * 3) // live + dead + headroom
+	scfg.FileName = ""
+	scfg.QueuePairs = 1
 	cachePages := int(cfg.DatasetBytes / 4096 / 8)
 	if cachePages < 64 {
 		cachePages = 64
@@ -143,37 +87,11 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if cfg.ECCUncorrectableFrac > 0 {
 		scfg.SSD.ECCUncorrectableFrac = cfg.ECCUncorrectableFrac
 	}
-
-	ctrl, err := ssd.New(scfg.SSD)
+	st, err := baseline.Build(scfg, cfg.FineReads)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}
-	drv := nvme.NewDriver(ctrl, scfg.Depth, scfg.NVMe)
-	blk, err := blockdev.New(drv, ctrl.PageSize(), scfg.Block)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
-	}
-	fs := extfs.New(ctrl)
-	v, err := vfs.New(fs, blk, scfg.VFS)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
-	}
-	sh := &Shard{ID: id, SA: telemetry.NewStageAccount(), Res: resource.NewTracker(),
-		ctrl: ctrl, v: v, cfg: cfg}
-	v.SetStages(sh.SA)
-	blk.SetStages(sh.SA)
-	drv.SetStages(sh.SA)
-	ctrl.SetStages(sh.SA)
-	ctrl.SetResources(sh.Res)
-	drv.SetRingTimeline(sh.Res.Register("nvme.ring"))
-	if cfg.FineReads {
-		p, err := core.New(v, drv, scfg.Core)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
-		}
-		sh.pip = p
-	}
-	store, ready, err := kv.Open(0, kv.VFSBackend{V: v}, kv.Config{
+	store, ready, err := kv.Open(0, kv.VFSBackend{V: st.V}, kv.Config{
 		NamePrefix:   fmt.Sprintf("shard%d/seg-", id),
 		SegmentBytes: cfg.SegmentBytes,
 		FineReads:    cfg.FineReads,
@@ -181,7 +99,6 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}
-	sh.Store = store
-	sh.loadClock = ready // shard time must stay monotone past open
-	return sh, nil
+	return &Shard{Stack: st, ID: id, Store: store, cfg: cfg,
+		loadClock: ready}, nil // shard time must stay monotone past open
 }

@@ -46,7 +46,7 @@ func newStack(t testing.TB, coreCfg Config, pcPages int, fileSize int64) *stack 
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriver(ctrl, 64, nvme.DefaultCosts())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
 	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func newStackNoPipette(t testing.TB) *bareStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriver(ctrl, 16, nvme.DefaultCosts())
+	drv := nvme.NewDriverQueues(ctrl, 1, 16, nvme.DefaultCosts())
 	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

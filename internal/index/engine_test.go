@@ -31,7 +31,7 @@ func testBackend(t testing.TB, fine bool) index.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriver(ctrl, 64, nvme.DefaultCosts())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
 	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -545,11 +545,6 @@ type Driver struct {
 	eng *sim.Engine
 }
 
-// NewDriver builds a single queue pair of the given depth over a device.
-func NewDriver(dev Device, queueDepth int, costs Costs) *Driver {
-	return NewDriverQueues(dev, 1, queueDepth, costs)
-}
-
 // NewDriverQueues builds a driver over pairs SQ/CQ pairs of the given
 // depth; submissions round-robin across the pairs.
 func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs) *Driver {

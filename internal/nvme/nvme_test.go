@@ -126,7 +126,7 @@ func (d *echoDevice) Execute(now sim.Time, cmd *Command) Completion {
 func TestDriverSubmitTiming(t *testing.T) {
 	dev := &echoDevice{service: 10 * sim.Microsecond}
 	costs := DefaultCosts()
-	d := NewDriver(dev, 16, costs)
+	d := NewDriverQueues(dev, 1, 16, costs)
 
 	comp, err := d.Submit(100*sim.Microsecond, Command{Op: OpRead, LBA: 7, Pages: 1})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestDriverSubmitTiming(t *testing.T) {
 
 func TestDriverAssignsIDs(t *testing.T) {
 	dev := &echoDevice{}
-	d := NewDriver(dev, 8, Costs{})
+	d := NewDriverQueues(dev, 1, 8, Costs{})
 	for i := 0; i < 5; i++ {
 		comp, err := d.Submit(0, Command{Op: OpFlush})
 		if err != nil {

@@ -424,7 +424,7 @@ func TestCMBSlotRotation(t *testing.T) {
 func TestDriverIntegration(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	d := nvme.NewDriver(c, 32, nvme.DefaultCosts())
+	d := nvme.NewDriverQueues(c, 1, 32, nvme.DefaultCosts())
 	buf := make([]byte, c.PageSize())
 	comp, err := d.Submit(0, nvme.Command{Op: nvme.OpRead, LBA: 0, Pages: 1, Data: buf})
 	if err != nil {

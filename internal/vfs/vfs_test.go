@@ -25,7 +25,7 @@ func testVFS(t testing.TB, cachePages int) *VFS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriver(ctrl, 64, nvme.DefaultCosts())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
 	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
