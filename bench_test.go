@@ -51,7 +51,7 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 
 // --- public-API micro benchmarks ------------------------------------------
 
-func benchSystem(b *testing.B, fineCache bool) *File {
+func benchSystem(b testing.TB, fineCache bool) *File {
 	b.Helper()
 	sys, err := New(Options{
 		CapacityBytes:    512 << 20,
@@ -109,6 +109,35 @@ func BenchmarkBlockRead4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := f.ReadAt(buf, int64(i%30000)*4096); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadPathAllocFree pins the README's zero-allocation rows: steady-state
+// cold 128 B fine reads and 4 KiB block reads allocate nothing per request.
+func TestReadPathAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		fineCache bool
+		size      int
+	}{
+		{"FineRead128Cold", false, 128},
+		{"BlockRead4K", true, 4096},
+	} {
+		f := benchSystem(t, tc.fineCache)
+		buf := make([]byte, tc.size)
+		i := 0
+		read := func() {
+			if _, err := f.ReadAt(buf, int64(i%30000)*4096); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for j := 0; j < 10000; j++ {
+			read() // fill the page cache; warm pools and scratch buffers
+		}
+		if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
 	}
 }

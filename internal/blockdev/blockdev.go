@@ -12,7 +12,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pipette/internal/nvme"
 	"pipette/internal/sim"
@@ -100,7 +100,7 @@ func (l *Layer) coalesce(lbas []uint64) []run {
 	}
 	sorted := append(l.sortBuf[:0], lbas...)
 	l.sortBuf = sorted
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	runs := l.runs[:0]
 	cur := run{start: sorted[0], count: 1}

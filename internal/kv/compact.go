@@ -84,17 +84,19 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 		} else {
 			now = done
 		}
-		key := string(payload[:h.keyLen])
+		// The key string is built only for records that are re-appended;
+		// the index probes use the non-allocating map-lookup form.
+		kb := payload[:h.keyLen]
 		switch {
 		case h.tombstone:
 			// A tombstone may still be shadowing a record in an older
 			// segment. Once the key is live again (or the tombstone's
 			// segment is the oldest holder), it can be dropped; re-append
 			// it otherwise, to keep deletes durable across recovery.
-			if s.tombstoneObsolete(key, sg.id) {
+			if s.tombstoneObsolete(kb, sg.id) {
 				break
 			}
-			s.scratch = encodeRecord(s.scratch, key, nil, true)
+			s.scratch = encodeRecord(s.scratch, string(kb), nil, true)
 			id, _, done, err := s.appendRecord(now, s.scratch)
 			if err != nil {
 				return done, err
@@ -102,10 +104,11 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 			now = done
 			s.segs[id].dead += int64(len(s.scratch))
 			reclaimed -= uint64(len(s.scratch))
-		case s.isCurrent(key, sg.id, off):
+		case s.isCurrent(kb, sg.id, off):
 			// Live record: move the value to the active log and repoint the
 			// index engine at it (a timed engine write — compaction pays the
 			// index's update cost too).
+			key := string(kb)
 			s.scratch = encodeRecord(s.scratch, key, payload[h.keyLen:], false)
 			id, recOff, done, err := s.appendRecord(now, s.scratch)
 			if err != nil {
@@ -134,8 +137,8 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 // tombstoneObsolete reports whether a tombstone in segment id no longer
 // shadows anything: the key has a live record again, or no older segment
 // could still hold a stale version of it.
-func (s *Store) tombstoneObsolete(key string, id uint32) bool {
-	if _, ok := s.acct[key]; ok {
+func (s *Store) tombstoneObsolete(key []byte, id uint32) bool {
+	if _, ok := s.acct[string(key)]; ok {
 		return true
 	}
 	// If this is the oldest remaining segment, nothing older can resurrect
@@ -145,8 +148,8 @@ func (s *Store) tombstoneObsolete(key string, id uint32) bool {
 
 // isCurrent reports whether the record at (id, off) is the one the index
 // points at for key.
-func (s *Store) isCurrent(key string, id uint32, off int64) bool {
-	l, ok := s.acct[key]
+func (s *Store) isCurrent(key []byte, id uint32, off int64) bool {
+	l, ok := s.acct[string(key)]
 	return ok && l.Seg == id && l.Off == off
 }
 

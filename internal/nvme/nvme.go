@@ -315,7 +315,7 @@ type inflight struct {
 	pair     *queuePair
 	submitAt sim.Time
 	fetchEnd sim.Time
-	op       Opcode
+	cmd      Command // the fetched entry; Execute borrows a pointer to it
 	comp     Completion
 	complete func(Completion)
 
@@ -442,6 +442,7 @@ func (m *MultiQueue) get() *inflight {
 func (m *MultiQueue) put(ic *inflight) {
 	ic.pair = nil
 	ic.complete = nil
+	ic.cmd = Command{}
 	ic.comp = Completion{}
 	ic.next = m.free
 	m.free = ic
@@ -488,16 +489,15 @@ func (m *MultiQueue) Submit(now sim.Time, cmd Command, complete func(Completion)
 // fetch is the device-side SQ fetch event: pop the entry, execute it, and
 // schedule the completion.
 func (m *MultiQueue) fetch(ic *inflight) {
-	fetched, err := ic.pair.sq.Pop()
-	if err != nil {
+	var err error
+	if ic.cmd, err = ic.pair.sq.Pop(); err != nil {
 		m.fail(fmt.Errorf("nvme: device fetch: %w", err))
 		m.inFlight--
 		m.put(ic)
 		return
 	}
-	ic.op = fetched.Op
-	comp := m.dev.Execute(ic.fetchEnd, &fetched)
-	comp.ID = fetched.ID
+	comp := m.dev.Execute(ic.fetchEnd, &ic.cmd)
+	comp.ID = ic.cmd.ID
 	execDone := comp.Done
 	comp.Done += m.costs.Completion
 	m.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
@@ -525,7 +525,7 @@ func (m *MultiQueue) reap(ic *inflight) {
 	m.completed++
 	m.inFlight--
 	if m.tr.Enabled() {
-		m.tr.Span(telemetry.TrackNVMe, ic.op.String(), ic.submitAt, reaped.Done)
+		m.tr.Span(telemetry.TrackNVMe, ic.cmd.Op.String(), ic.submitAt, reaped.Done)
 	}
 	cb := ic.complete
 	m.put(ic)
@@ -543,13 +543,21 @@ func (m *MultiQueue) reap(ic *inflight) {
 type Driver struct {
 	mq  *MultiQueue
 	eng *sim.Engine
+
+	// The completion callback is bound once, so Submit allocates nothing;
+	// it lands the reaped completion in out.
+	onDone func(Completion)
+	out    Completion
+	done   bool
 }
 
 // NewDriverQueues builds a driver over pairs SQ/CQ pairs of the given
 // depth; submissions round-robin across the pairs.
 func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs) *Driver {
 	eng := sim.NewEngine()
-	return &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
+	d := &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
+	d.onDone = func(c Completion) { d.out, d.done = c, true }
+	return d
 }
 
 // Queues exposes the underlying multi-queue transport.
@@ -570,22 +578,22 @@ func (d *Driver) SetRingTimeline(tl *resource.Timeline) { d.mq.SetRingTimeline(t
 // Stats reports commands submitted and completed.
 func (d *Driver) Stats() (submitted, completed uint64) { return d.mq.Stats() }
 
-// Submit runs one command to completion in virtual time.
+// Submit runs one command to completion in virtual time. It is not
+// re-entrant: the device's Execute must not submit through the same
+// driver, because the one bound completion slot belongs to the command in
+// flight. The stack's Device, ssd.Controller, holds no driver and imports
+// no package that does.
 func (d *Driver) Submit(now sim.Time, cmd Command) (Completion, error) {
-	var out Completion
-	done := false
-	if err := d.mq.Submit(now, cmd, func(c Completion) {
-		out = c
-		done = true
-	}); err != nil {
+	d.done = false
+	if err := d.mq.Submit(now, cmd, d.onDone); err != nil {
 		return Completion{}, err
 	}
 	d.eng.Run()
 	if err := d.mq.Err(); err != nil {
 		return Completion{}, err
 	}
-	if !done {
+	if !d.done {
 		return Completion{}, errors.New("nvme: command never completed")
 	}
-	return out, nil
+	return d.out, nil
 }

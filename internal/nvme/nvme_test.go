@@ -168,3 +168,65 @@ func TestCostsTotal(t *testing.T) {
 		t.Fatalf("Total = %v", c.Total())
 	}
 }
+
+// sinkDevice completes every command after a fixed service time and
+// keeps only counts, so it allocates nothing itself.
+type sinkDevice struct {
+	service sim.Time
+	ops     [OpFineRead + 1]int
+}
+
+func (d *sinkDevice) Execute(now sim.Time, cmd *Command) Completion {
+	d.ops[cmd.Op]++
+	return Completion{Status: StatusOK, Done: now + d.service, BytesMoved: uint64(len(cmd.Data))}
+}
+
+// TestDriverSubmitAllocFree: the synchronous submit path — ring push,
+// fetch, execute, completion reap — allocates nothing once the in-flight
+// pool is warm, for block and fine reads alike.
+func TestDriverSubmitAllocFree(t *testing.T) {
+	dev := &sinkDevice{service: 5 * sim.Microsecond}
+	d := NewDriverQueues(dev, 4, 64, DefaultCosts())
+	buf := make([]byte, 4096)
+	lbas := []uint64{3, 9}
+	for _, tc := range []struct {
+		name string
+		cmd  Command
+	}{
+		{"block read", Command{Op: OpRead, LBA: 7, Pages: 1, Data: buf}},
+		{"fine read", Command{Op: OpFineRead, FineLBAs: lbas}},
+	} {
+		now := sim.Time(0)
+		submit := func() {
+			comp, err := d.Submit(now, tc.cmd)
+			if err != nil || !comp.Ok() {
+				t.Fatalf("%s: %+v, %v", tc.name, comp, err)
+			}
+			now = comp.Done
+		}
+		submit() // warm the in-flight pool
+		if allocs := testing.AllocsPerRun(500, submit); allocs != 0 {
+			t.Errorf("%s: Driver.Submit %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+	if dev.ops[OpRead] == 0 || dev.ops[OpFineRead] == 0 {
+		t.Fatalf("device saw %v", dev.ops)
+	}
+}
+
+// BenchmarkDriverSubmit measures one synchronous command round trip over
+// a device that costs nothing on the host.
+func BenchmarkDriverSubmit(b *testing.B) {
+	d := NewDriverQueues(&sinkDevice{service: 5 * sim.Microsecond}, 4, 64, DefaultCosts())
+	cmd := Command{Op: OpRead, LBA: 7, Pages: 1, Data: make([]byte, 4096)}
+	now := sim.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp, err := d.Submit(now, cmd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = comp.Done
+	}
+}

@@ -5,7 +5,8 @@
 // Clean pages do not materialize data — the simulator can regenerate any
 // clean page's bytes from the device oracle without timing, which keeps
 // multi-gigabyte working sets cheap in host RAM. Dirty pages hold their
-// real bytes until writeback.
+// real bytes until writeback: the cache owns a dirty page's buffer for the
+// page's whole dirty life, and writers patch it in place (DirtyPage).
 //
 // This is the cache the paper's block I/O baseline lives and dies by: page
 // granularity promotes 4 KiB for every 128 B read, and read-ahead
@@ -23,12 +24,14 @@ type Key struct {
 	Index uint64 // page index within the file
 }
 
-// entry is one resident page.
+// entry is one resident page. Dirty entries are also on the dirty list
+// (dprev/dnext), in the same relative order as on the LRU list.
 type entry struct {
-	key        Key
-	dirty      bool
-	data       []byte // nil unless dirty
-	prev, next *entry
+	key          Key
+	dirty        bool
+	data         []byte // nil unless dirty
+	prev, next   *entry
+	dprev, dnext *entry
 }
 
 // EvictFunc is called when a page leaves the cache. For dirty pages, data
@@ -48,6 +51,7 @@ type Cache struct {
 	lastFile map[uint64]*entry
 	head     *entry // sentinel: most recent after head
 	tail     *entry // sentinel: least recent before tail
+	dirtyL   entry  // sentinel of the dirty list: most recent at dnext
 	free     *entry // recycled entries, chained on next
 	onEvict  EvictFunc
 
@@ -78,6 +82,8 @@ func New(capacityPages, pageSize int, onEvict EvictFunc) (*Cache, error) {
 	}
 	c.head.next = c.tail
 	c.tail.prev = c.head
+	c.dirtyL.dnext = &c.dirtyL
+	c.dirtyL.dprev = &c.dirtyL
 	return c, nil
 }
 
@@ -171,17 +177,36 @@ func (c *Cache) recycle(e *entry) {
 	c.free = e
 }
 
+// pushFront and unlink are the only places an entry's list position
+// changes, so they keep the dirty list in LRU order: a dirty entry moves to
+// the dirty list head with every pushFront and leaves it with unlink.
 func (c *Cache) pushFront(e *entry) {
 	e.prev = c.head
 	e.next = c.head.next
 	c.head.next.prev = e
 	c.head.next = e
+	if e.dirty {
+		d := &c.dirtyL
+		e.dprev = d
+		e.dnext = d.dnext
+		d.dnext.dprev = e
+		d.dnext = e
+	}
 }
 
 func (c *Cache) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
+	if e.dirty {
+		c.unlinkDirty(e)
+	}
+}
+
+func (c *Cache) unlinkDirty(e *entry) {
+	e.dprev.dnext = e.dnext
+	e.dnext.dprev = e.dprev
+	e.dprev, e.dnext = nil, nil
 }
 
 // Lookup checks residency and counts the access. On a hit the page moves to
@@ -239,9 +264,9 @@ func (c *Cache) Insert(key Key, dirty bool, data []byte) error {
 				c.dirtyN--
 			}
 		}
+		c.unlink(e)
 		e.dirty = dirty
 		e.data = data
-		c.unlink(e)
 		c.pushFront(e)
 		return nil
 	}
@@ -257,8 +282,11 @@ func (c *Cache) Insert(key Key, dirty bool, data []byte) error {
 	return nil
 }
 
-// MarkDirty transitions a resident page to dirty with its bytes (the cache
-// takes ownership of the slice). Returns false if the page is not resident.
+// MarkDirty transitions a resident clean page to dirty with its bytes (the
+// cache takes ownership of the slice) and moves it to the LRU front.
+// Returns false if the page is not resident. A page that is already dirty
+// keeps its buffer until writeback (patch it through DirtyPage), so
+// MarkDirty rejects it instead of dropping that buffer.
 func (c *Cache) MarkDirty(key Key, data []byte) (bool, error) {
 	if len(data) != c.pageSize {
 		return false, fmt.Errorf("pagecache: dirty data %d bytes, want %d", len(data), c.pageSize)
@@ -267,14 +295,29 @@ func (c *Cache) MarkDirty(key Key, data []byte) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if !e.dirty {
-		c.dirtyN++
+	if e.dirty {
+		return false, fmt.Errorf("pagecache: page %d/%d is already dirty", key.File, key.Index)
 	}
+	c.unlink(e)
+	c.dirtyN++
 	e.dirty = true
 	e.data = data
-	c.unlink(e)
 	c.pushFront(e)
 	return true, nil
+}
+
+// DirtyPage returns the buffer of a resident dirty page and moves the page
+// to the LRU front, without counting an access; nil when the page is absent
+// or clean. The caller patches the buffer in place and the cache keeps
+// owning it until writeback.
+func (c *Cache) DirtyPage(key Key) []byte {
+	e, ok := c.get(key)
+	if !ok || !e.dirty {
+		return nil
+	}
+	c.unlink(e)
+	c.pushFront(e)
+	return e.data
 }
 
 // Remove drops a page (invalidation). Dirty data is passed to the evict
@@ -356,24 +399,29 @@ func (c *Cache) Resize(capacityPages int) error {
 }
 
 // FlushDirty invokes fn for every dirty page in LRU order (oldest first)
-// and marks them clean. fn is the writeback. Clean pages drop their data.
+// and marks them clean. fn is the writeback; it takes back ownership of
+// data. Flushed pages keep their LRU position and drop their data.
 func (c *Cache) FlushDirty(fn func(key Key, data []byte) error) error {
 	return c.FlushDirtySelect(func(Key) bool { return true }, fn)
 }
 
 // FlushDirtySelect flushes only the dirty pages match accepts — fsync of a
-// single file, while FlushDirty is syncfs.
+// single file, while FlushDirty is syncfs. It walks the dirty list, so its
+// cost is in dirty pages, not resident ones. fn must not modify the cache.
 func (c *Cache) FlushDirtySelect(match func(Key) bool, fn func(key Key, data []byte) error) error {
-	for e := c.tail.prev; e != c.head; e = e.prev {
-		if !e.dirty || !match(e.key) {
-			continue
+	d := &c.dirtyL
+	for e := d.dprev; e != d; {
+		prev := e.dprev
+		if match(e.key) {
+			if err := fn(e.key, e.data); err != nil {
+				return err
+			}
+			c.unlinkDirty(e)
+			e.dirty = false
+			e.data = nil
+			c.dirtyN--
 		}
-		if err := fn(e.key, e.data); err != nil {
-			return err
-		}
-		e.dirty = false
-		e.data = nil
-		c.dirtyN--
+		e = prev
 	}
 	return nil
 }

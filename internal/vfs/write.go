@@ -11,7 +11,8 @@ import (
 )
 
 // WriteAt writes len(data) bytes at off through the page cache: full-page
-// overwrites go straight to dirty pages; partial pages read-modify-write.
+// overwrites go straight to dirty pages; partial pages read-modify-write;
+// resident dirty pages are patched in place.
 // Dirty pages persist on Sync or when evicted (writeback). The fine-grained
 // router's OnWrite hook fires for consistency (§3.1.3): every write deletes
 // overlapping fine-cache items so later fine reads see either the updated
@@ -64,19 +65,34 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 		if hi <= lo {
 			continue
 		}
-		page := v.getPageBuf()
+		key := pagecache.Key{File: f.inode.Ino, Index: p}
+		src := data[dataLo : dataLo+int(hi-lo)]
+		// A resident dirty page is patched in place: the cache owns its
+		// buffer until writeback. A full-page overwrite reads nothing and
+		// counts no access; a partial page makes one counted lookup, which
+		// returns a buffer only for a dirty page.
 		fullPage := pageLo == 0 && hi-lo == ps
+		var page []byte
+		resident := false
+		if fullPage {
+			page = v.cache.DirtyPage(key)
+		} else {
+			page, _, resident = v.cache.Lookup(key)
+		}
+		if page != nil {
+			copy(page[pageLo:], src)
+			continue
+		}
+		page = v.getPageBuf()
 		if !fullPage {
-			// Read-modify-write: obtain the current page content.
-			t, err := v.loadPageForRMW(done, f, p, page)
+			// Read-modify-write of a clean or absent page.
+			t, err := v.loadPageForRMW(done, f, p, page, resident)
 			if err != nil {
 				return 0, t, err
 			}
 			done = t
 		}
-		copy(page[pageLo:], data[dataLo:dataLo+int(hi-lo)])
-
-		key := pagecache.Key{File: f.inode.Ino, Index: p}
+		copy(page[pageLo:], src)
 		marked, err := v.cache.MarkDirty(key, page)
 		if err != nil {
 			return 0, done, err
@@ -98,16 +114,11 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 	return len(data), v.copyOut(done), nil
 }
 
-// loadPageForRMW fills page with the current content of file page p:
-// from the dirty cache copy, the clean oracle, the device (timed block
-// read), or zeros for a hole.
-func (v *VFS) loadPageForRMW(now sim.Time, f *File, p uint64, page []byte) (sim.Time, error) {
-	key := pagecache.Key{File: f.inode.Ino, Index: p}
-	if data, dirty, ok := v.cache.Lookup(key); ok {
-		if dirty {
-			copy(page, data)
-			return now, nil
-		}
+// loadPageForRMW fills page with the current content of clean file page p:
+// from the oracle when the page is resident, otherwise from the device
+// (timed block read) or zeros for a hole.
+func (v *VFS) loadPageForRMW(now sim.Time, f *File, p uint64, page []byte, resident bool) (sim.Time, error) {
+	if resident {
 		return now, v.fs.Peek(f.inode, int64(p)*int64(v.fs.PageSize()), pageTrim(page, f, p, v.fs.PageSize()))
 	}
 	got, done, err := v.fetchPages(now, f, p, 1, page, 0)
