@@ -155,13 +155,16 @@ func BenchmarkWrite4K(b *testing.B) {
 	}
 }
 
-// BenchmarkTracingOverhead quantifies the cost of the telemetry seams on
-// the full read stack. The "off" case is the default no-op tracer every
-// layer ships with: each instrumentation site is one Enabled() call on a
-// static interface value, so "off" must stay within noise (<2%) of an
-// uninstrumented build — compare against BenchmarkFineRead128Hot, which is
-// the same loop without SetTracer ever having been called. The "on" case
-// records every span and bounds the worst-case cost of -trace-out.
+// BenchmarkTracingOverhead quantifies the cost of tracing on the full read
+// stack. In the "off" case every layer reads the stack's shared
+// Instruments, which hold the no-op tracer: one off span site costs a load
+// of ins.Tracer plus an Enabled() call, while the stage account and
+// resource tracker keep recording. Its reference is
+// BenchmarkFineRead128Hot/nil in internal/baseline, the same hot loop on a
+// stack whose layers hold nil Instruments; BenchmarkFineRead128Hot/
+// instrumented there is the "off" stack without this facade's lock. The
+// "on" case records every span and bounds the worst-case cost of
+// -trace-out.
 func BenchmarkTracingOverhead(b *testing.B) {
 	run := func(b *testing.B, traced bool) {
 		f := benchSystem(b, true)

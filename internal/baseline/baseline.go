@@ -3,13 +3,14 @@
 // I/O, 2B-SSD in its MMIO and DMA read modes, Pipette without its
 // fine-grained read cache, and full Pipette.
 //
-// Build is the repository's one stack assembler. It wires the controller,
+// Build is the repository's one stack assembler. It builds the controller,
 // NVMe driver, block layer, filesystem, VFS and optional fine-read core,
-// and threads one stage account and one resource tracker through every
-// layer; Stack.Arm is the one place a fault injector enters. The public
-// facade, the engines here, kv cells and cluster shards all hold a Stack,
-// so runs are independent and instrumented alike. All five engines expose
-// the same Engine interface to the benchmark harness.
+// handing each constructor a pointer to the stack's one
+// telemetry.Instruments (tracer, stage account, resource tracker, fault
+// injector). After Build only Stack.SetTracer and Stack.Arm change it. The
+// public facade, the engines here, kv cells and cluster shards all hold a
+// Stack, so runs are independent and instrumented alike. All five engines
+// expose the same Engine interface to the benchmark harness.
 package baseline
 
 import (
@@ -22,6 +23,7 @@ import (
 	"pipette/internal/fault"
 	"pipette/internal/ftl"
 	"pipette/internal/metrics"
+	"pipette/internal/nand"
 	"pipette/internal/nvme"
 	"pipette/internal/resource"
 	"pipette/internal/sim"
@@ -124,107 +126,112 @@ func DefaultStackConfig(fileSize int64) StackConfig {
 }
 
 // Stack is one assembled private system: controller, NVMe driver, block
-// layer, VFS and, on a fine stack, the Pipette core, with one stage account
-// and one resource tracker shared by every layer. Build is the only
-// assembler in the repository; the facade, the baseline engines, kv cells
-// and cluster shards all hold a Stack.
+// layer, VFS and, on a fine stack, the Pipette core. Every layer holds a
+// pointer to the stack's one Ins; after Build only SetTracer and Arm change
+// it. Build is the only assembler in the repository; the facade, the
+// baseline engines, kv cells and cluster shards all hold a Stack.
 type Stack struct {
 	Ctrl *ssd.Controller
 	Drv  *nvme.Driver
 	Blk  *blockdev.Layer
 	V    *vfs.VFS
 	Core *core.Pipette // nil unless built fine
-	SA   *telemetry.StageAccount
-	Res  *resource.Tracker
+	Ins  telemetry.Instruments
 
-	file *vfs.File       // the preloaded workload file; nil without FileName
-	inj  *fault.Injector // nil until Arm installs a non-empty profile
+	// SA and Res alias Ins.Stages and Ins.Resources for the benchmark
+	// harness under perfbench/, which reads them by these names; code in
+	// this module uses Stages() and Resources().
+	SA  *telemetry.StageAccount
+	Res *resource.Tracker
+
+	file *vfs.File // the preloaded workload file; nil without FileName
 }
 
 // Build assembles a stack from cfg. With a FileName it creates and
 // preloads the workload file, opened fine-grained when fine is set. The
-// stage account and resource tracker (registration order dma, nand, ring)
-// are wired into every layer; fine adds the core on top, wired the same
-// way. Build arms no fault injector: see Arm.
+// stack's instruments start with the no-op tracer, a stage account, a
+// resource tracker and no fault injector (see Arm).
 func Build(cfg StackConfig, fine bool) (*Stack, error) {
-	if cfg.FileName != "" && cfg.FileSize <= 0 {
-		return nil, errors.New("baseline: FileSize must be positive")
-	}
-	ctrl, err := ssd.New(cfg.SSD)
-	if err != nil {
+	s := &Stack{Ins: telemetry.Instruments{
+		Tracer:    telemetry.Nop(),
+		Stages:    telemetry.NewStageAccount(),
+		Resources: resource.NewTracker(),
+	}}
+	s.SA, s.Res = s.Ins.Stages, s.Ins.Resources
+	if err := s.assemble(cfg, fine, &s.Ins); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// assemble builds the layers bottom-up, each reading its instruments from
+// ins. Construction order is resource registration order: pcie.dma, the
+// NAND channels, the NAND dies, then nvme.ring.
+func (s *Stack) assemble(cfg StackConfig, fine bool, ins *telemetry.Instruments) error {
+	if cfg.FileName != "" && cfg.FileSize <= 0 {
+		return errors.New("baseline: FileSize must be positive")
+	}
+	ctrl, err := ssd.New(cfg.SSD, ins)
+	if err != nil {
+		return err
+	}
 	if cfg.FileName != "" && uint64(cfg.FileSize/int64(ctrl.PageSize())+1) > ctrl.LogicalPages() {
-		return nil, fmt.Errorf("baseline: file %d B exceeds device capacity %d pages",
+		return fmt.Errorf("baseline: file %d B exceeds device capacity %d pages",
 			cfg.FileSize, ctrl.LogicalPages())
 	}
 	pairs := cfg.QueuePairs
 	if pairs <= 0 {
 		pairs = 4
 	}
-	drv := nvme.NewDriverQueues(ctrl, pairs, cfg.Depth, cfg.NVMe)
-	blk, err := blockdev.New(drv, ctrl.PageSize(), cfg.Block)
+	drv := nvme.NewDriverQueues(ctrl, pairs, cfg.Depth, cfg.NVMe, ins)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), cfg.Block, ins)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	v, err := vfs.New(extfs.New(ctrl), blk, cfg.VFS)
+	v, err := vfs.New(extfs.New(ctrl), blk, cfg.VFS, ins)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &Stack{Ctrl: ctrl, Drv: drv, Blk: blk, V: v,
-		SA: telemetry.NewStageAccount(), Res: resource.NewTracker()}
+	s.Ctrl, s.Drv, s.Blk, s.V = ctrl, drv, blk, v
 	if cfg.FileName != "" {
 		flags := vfs.ReadWrite
 		if fine {
 			flags |= vfs.FineGrained
 		}
 		if s.file, err = v.Create(cfg.FileName, cfg.FileSize, extfs.CreateOpts{Preload: true}, flags); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	v.SetStages(s.SA)
-	blk.SetStages(s.SA)
-	drv.SetStages(s.SA)
-	ctrl.SetStages(s.SA)
-	ctrl.SetResources(s.Res)
-	drv.SetRingTimeline(s.Res.Register("nvme.ring"))
 	if fine {
-		if s.Core, err = core.New(v, drv, cfg.Core); err != nil {
-			return nil, err
-		}
-		s.Core.SetStages(s.SA)
+		s.Core, err = core.New(v, drv, cfg.Core, ins)
 	}
-	return s, nil
+	return err
 }
 
-// Arm installs a fault injector built from prof on the controller, the VFS
-// and the core: the one place an injector enters a stack. It is a no-op
-// for an empty profile or an already armed stack.
+// Arm installs a fault injector built from prof in the stack's instruments,
+// where the controller, the VFS, the core and the HMB info ring read it:
+// the one place an injector enters a stack. It resolves the nand.read
+// rber* rule against the media's datasheet RBER and the bits sensed per
+// page. It is a no-op for an empty profile or an already armed stack.
 func (s *Stack) Arm(prof fault.Profile, seed uint64) {
-	if s.inj != nil {
+	if s.Ins.Injector != nil {
 		return
 	}
 	inj := prof.NewInjector(seed)
-	if inj == nil {
-		return
-	}
-	s.inj = inj
-	s.Ctrl.SetInjector(inj)
-	s.V.SetInjector(inj)
-	if s.Core != nil {
-		s.Core.SetInjector(inj)
-	}
+	geo := s.Ctrl.Array().Config()
+	inj.ResolveRBER(fault.SiteNANDRead, nand.RBERFor(geo.Cell), geo.PageSize*8)
+	s.Ins.Injector = inj
 }
 
 // Armed reports whether Arm installed an injector.
-func (s *Stack) Armed() bool { return s.inj != nil }
+func (s *Stack) Armed() bool { return s.Ins.Injector != nil }
 
 // Faults aggregates the stack's injection and recovery counters, including
 // the core's fine-path fallbacks (all zeros until armed).
 func (s *Stack) Faults() fault.Report {
 	f := s.Ctrl.Faults()
 	r := fault.Report{
-		Injected:         s.inj.TotalInjected(),
+		Injected:         s.Ins.Injector.TotalInjected(),
 		ECCRetries:       f.ECCRetries,
 		Uncorrectable:    f.Uncorrectable,
 		RingCorruptions:  f.RingCorruptions,
@@ -241,22 +248,13 @@ func (s *Stack) Faults() fault.Report {
 
 // SetTracer instruments every layer of the stack, the core included; nil
 // returns to the no-op default.
-func (s *Stack) SetTracer(tr telemetry.Tracer) {
-	tr = telemetry.OrNop(tr)
-	s.V.SetTracer(tr)
-	s.Blk.SetTracer(tr)
-	s.Drv.SetTracer(tr)
-	s.Ctrl.SetTracer(tr)
-	if s.Core != nil {
-		s.Core.SetTracer(tr)
-	}
-}
+func (s *Stack) SetTracer(tr telemetry.Tracer) { s.Ins.Tracer = telemetry.OrNop(tr) }
 
 // Stages exposes the per-request stage account.
-func (s *Stack) Stages() *telemetry.StageAccount { return s.SA }
+func (s *Stack) Stages() *telemetry.StageAccount { return s.Ins.Stages }
 
 // Resources exposes the resource-occupancy tracker.
-func (s *Stack) Resources() *resource.Tracker { return s.Res }
+func (s *Stack) Resources() *resource.Tracker { return s.Ins.Resources }
 
 // Snapshot merges VFS and, on a fine stack, core statistics into one
 // traffic and cache summary, so read amplification is comparable across
@@ -320,10 +318,10 @@ func (s *Stack) Probes() []telemetry.Probe {
 			}),
 		)
 	}
-	if s.inj != nil {
+	if inj := s.Ins.Injector; inj != nil {
 		probes = append(probes,
 			telemetry.GaugeProbe("fault.injected", func() float64 {
-				return float64(s.inj.TotalInjected())
+				return float64(inj.TotalInjected())
 			}),
 			telemetry.GaugeProbe("fault.ecc_retries", func() float64 {
 				return float64(s.Ctrl.Faults().ECCRetries)

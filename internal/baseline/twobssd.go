@@ -63,9 +63,9 @@ func (e *TwoBSSD) Name() string {
 // bypasses the VFS, so the engine owns the stage-account request scope
 // itself.
 func (e *TwoBSSD) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
-	e.SA.Begin(now)
+	e.Ins.Stages.Begin(now)
 	done, err := e.readAt(now, buf, off)
-	e.SA.Finish(done)
+	e.Ins.Stages.Finish(done)
 	return done, err
 }
 
@@ -90,7 +90,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	case DMA:
 		now += e.cfg.DMAMap
 	}
-	e.SA.Mark(telemetry.StageConstruct, now)
+	e.Ins.Stages.Mark(telemetry.StageConstruct, now)
 
 	// Load pages to the CMB; issue together, wait for the last.
 	if cap(e.slotScratch) < len(lbas) {
@@ -114,7 +114,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	}
 
 	// Close the racing loads' attribution window at the last completion.
-	e.SA.Mark(telemetry.StageNAND, loadDone)
+	e.Ins.Stages.Mark(telemetry.StageNAND, loadDone)
 
 	// Transfer the demanded window page by page.
 	t := loadDone

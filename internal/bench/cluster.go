@@ -171,9 +171,9 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := c.Shard(i)
 		base[i] = sh.Snapshot()
-		busy[i] = make([]sim.Time, sh.Res.Len())
+		busy[i] = make([]sim.Time, sh.Resources().Len())
 		for j := range busy[i] {
-			busy[i][j] = sh.Res.At(j).Busy()
+			busy[i][j] = sh.Resources().At(j).Busy()
 		}
 	}
 
@@ -235,14 +235,14 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 		addIO(&snap.IO, shSnap.IO)
 		addCache(&snap.PageCache, shSnap.PageCache)
 		addCache(&snap.FineCache, shSnap.FineCache)
-		sa := sh.SA.Snapshot()
+		sa := sh.Stages().Snapshot()
 		res.Stages.Merge(&sa)
 		var util float64
 		for j := range busy[i] {
 			if cres.Elapsed <= 0 {
 				break
 			}
-			if f := float64(sh.Res.At(j).Busy()-busy[i][j]) / float64(cres.Elapsed); f > util {
+			if f := float64(sh.Resources().At(j).Busy()-busy[i][j]) / float64(cres.Elapsed); f > util {
 				util = f
 			}
 		}

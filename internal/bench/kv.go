@@ -212,7 +212,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	for i := 0; i < ops; i++ {
 		req := gen.Next()
 		before := now
-		st.SA.Begin(now)
+		st.Stages().Begin(now)
 		switch req.Op {
 		case workload.OpRead:
 			got, now, err = store.Get(now, kvKey(req.Key), got[:0])
@@ -255,7 +255,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 				return nil, fmt.Errorf("bench: kv %s rmw put %d: %w", wl, req.Key, err)
 			}
 		}
-		st.SA.Finish(now)
+		st.Stages().Finish(now)
 		res.hist.Observe(now - before)
 		if i%kvTickEvery == kvTickEvery-1 {
 			if _, now, err = store.MaintenanceTick(now); err != nil {
@@ -273,8 +273,8 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	snap.MeanLat = res.hist.Mean()
 	snap.P99Lat = res.hist.Quantile(0.99)
 	res.snap = snap
-	res.stages = st.SA.Snapshot()
-	res.resources = st.Res.Snapshot(now)
+	res.stages = st.Stages().Snapshot()
+	res.resources = st.Resources().Snapshot(now)
 	res.store = store.Stats()
 	res.store.Puts -= baseKV.Puts
 	res.store.Gets -= baseKV.Gets

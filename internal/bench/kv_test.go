@@ -200,7 +200,7 @@ func TestKVStackFineStageAttribution(t *testing.T) {
 	if now, err = store.Sync(now); err != nil {
 		t.Fatal(err)
 	}
-	st.SA.SetOnFinish(func(segs []telemetry.StageSeg, from, to sim.Time) {
+	st.Stages().SetOnFinish(func(segs []telemetry.StageSeg, from, to sim.Time) {
 		at := from
 		for _, seg := range segs {
 			if seg.Start != at {
@@ -215,9 +215,9 @@ func TestKVStackFineStageAttribution(t *testing.T) {
 	var got []byte
 	for pass := 0; pass < 2; pass++ {
 		for k := uint64(0); k < s.KVRecords; k++ {
-			st.SA.Begin(now)
+			st.Stages().Begin(now)
 			got, now, err = store.Get(now, kvKey(k), got[:0])
-			st.SA.Finish(now)
+			st.Stages().Finish(now)
 			if err != nil {
 				t.Fatalf("get %d: %v", k, err)
 			}
@@ -231,14 +231,14 @@ func TestKVStackFineStageAttribution(t *testing.T) {
 		t.Fatalf("%d fine reads, %d fine-cache hits: the test misses the fine path",
 			ss.IO.FineReads, ss.FineCache.Hits)
 	}
-	snap := st.SA.Snapshot()
+	snap := st.Stages().Snapshot()
 	if snap.Hists[telemetry.StageConstruct].Count() == 0 {
 		t.Error("no requests attributed to construct")
 	}
 	if snap.Hists[telemetry.StageCache].Count() == 0 {
 		t.Error("fine-cache hits but no requests attributed to cache")
 	}
-	if st.SA.Gaps() != 0 || snap.Sum() != snap.Elapsed {
-		t.Errorf("conservation: gaps %d, sum %v, elapsed %v", st.SA.Gaps(), snap.Sum(), snap.Elapsed)
+	if st.Stages().Gaps() != 0 || snap.Sum() != snap.Elapsed {
+		t.Errorf("conservation: gaps %d, sum %v, elapsed %v", st.Stages().Gaps(), snap.Sum(), snap.Elapsed)
 	}
 }

@@ -52,8 +52,7 @@ type Layer struct {
 	drv      *nvme.Driver
 	pageSize int
 	stats    Stats
-	tr       telemetry.Tracer
-	sa       *telemetry.StageAccount
+	ins      *telemetry.Instruments
 
 	// Request-scoped scratch (the layer, like the whole stack, is
 	// single-threaded): sort buffer and run list for coalescing, and the
@@ -63,27 +62,22 @@ type Layer struct {
 	readBuf []byte
 }
 
-// New creates a layer over a driver.
-func New(drv *nvme.Driver, pageSize int, cfg Config) (*Layer, error) {
+// New creates a layer over a driver. From ins the layer reads the tracer
+// (one span per merged device command on the block track) and the stage
+// account (per-command software overhead as the queue stage); a nil ins is
+// all off.
+func New(drv *nvme.Driver, pageSize int, cfg Config, ins *telemetry.Instruments) (*Layer, error) {
 	if pageSize <= 0 {
 		return nil, errors.New("blockdev: page size must be positive")
 	}
 	if cfg.MaxPagesPerCommand <= 0 {
 		return nil, errors.New("blockdev: MaxPagesPerCommand must be positive")
 	}
-	return &Layer{cfg: cfg, drv: drv, pageSize: pageSize, tr: telemetry.Nop()}, nil
+	return &Layer{cfg: cfg, drv: drv, pageSize: pageSize, ins: ins.OrOff()}, nil
 }
 
 // Stats returns a copy of the counters.
 func (l *Layer) Stats() Stats { return l.stats }
-
-// SetTracer installs a tracer; each merged device command becomes one span
-// on the block track.
-func (l *Layer) SetTracer(tr telemetry.Tracer) { l.tr = telemetry.OrNop(tr) }
-
-// SetStages installs the per-request stage account; the layer attributes
-// its per-command software overhead to the queue stage.
-func (l *Layer) SetStages(sa *telemetry.StageAccount) { l.sa = sa }
 
 // run is a merged contiguous extent.
 type run struct {
@@ -139,7 +133,7 @@ func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint
 		}
 		buf := l.readBuf[:need]
 		issueAt := now + l.cfg.PerRequestOverhead
-		l.sa.Mark(telemetry.StageQueue, issueAt)
+		l.ins.Stages.Mark(telemetry.StageQueue, issueAt)
 		comp, err := l.drv.Submit(issueAt, nvme.Command{
 			Op: nvme.OpRead, LBA: r.start, Pages: r.count, Data: buf,
 		})
@@ -152,8 +146,8 @@ func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint
 		for i := 0; i < r.count; i++ {
 			deliver(r.start+uint64(i), buf[i*l.pageSize:(i+1)*l.pageSize])
 		}
-		if l.tr.Enabled() {
-			l.tr.Span(telemetry.TrackBlock, "read", now, comp.Done)
+		if tr := l.ins.Tracer; tr.Enabled() {
+			tr.Span(telemetry.TrackBlock, "read", now, comp.Done)
 		}
 		if comp.Done > done {
 			done = comp.Done
@@ -202,7 +196,7 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 			n = pages - off
 		}
 		issueAt := t + l.cfg.PerRequestOverhead
-		l.sa.Mark(telemetry.StageQueue, issueAt)
+		l.ins.Stages.Mark(telemetry.StageQueue, issueAt)
 		comp, err := l.drv.Submit(issueAt, nvme.Command{
 			Op:    nvme.OpWrite,
 			LBA:   lba + uint64(off),
@@ -215,8 +209,8 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 		if !comp.Ok() {
 			return comp.Done, moved, fmt.Errorf("blockdev: write [%d,+%d): %w", lba+uint64(off), n, comp.Status.Err())
 		}
-		if l.tr.Enabled() {
-			l.tr.Span(telemetry.TrackBlock, "write", t, comp.Done)
+		if tr := l.ins.Tracer; tr.Enabled() {
+			tr.Span(telemetry.TrackBlock, "write", t, comp.Done)
 		}
 		t = comp.Done
 		moved += comp.BytesMoved
@@ -229,7 +223,7 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 // Trim discards the given contiguous page range.
 func (l *Layer) Trim(now sim.Time, lba uint64, pages int) (sim.Time, error) {
 	issueAt := now + l.cfg.PerRequestOverhead
-	l.sa.Mark(telemetry.StageQueue, issueAt)
+	l.ins.Stages.Mark(telemetry.StageQueue, issueAt)
 	comp, err := l.drv.Submit(issueAt, nvme.Command{
 		Op: nvme.OpTrim, LBA: lba, Pages: pages,
 	})

@@ -17,12 +17,12 @@ func testStack(t testing.TB) (*ssd.Controller, *Layer) {
 	cfg.NAND.PlanesPerDie = 1
 	cfg.NAND.BlocksPerPlane = 16
 	cfg.NAND.PagesPerBlock = 32
-	ctrl, err := ssd.New(cfg)
+	ctrl, err := ssd.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
-	layer, err := New(drv, ctrl.PageSize(), DefaultConfig())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts(), nil)
+	layer, err := New(drv, ctrl.PageSize(), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func testStack(t testing.TB) (*ssd.Controller, *Layer) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, 0, DefaultConfig()); err == nil {
+	if _, err := New(nil, 0, DefaultConfig(), nil); err == nil {
 		t.Error("zero page size accepted")
 	}
-	if _, err := New(nil, 4096, Config{MaxPagesPerCommand: 0}); err == nil {
+	if _, err := New(nil, 4096, Config{MaxPagesPerCommand: 0}, nil); err == nil {
 		t.Error("zero MaxPagesPerCommand accepted")
 	}
 }

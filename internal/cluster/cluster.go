@@ -484,9 +484,9 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 		sh := c.shards[si]
 		c.mu.Lock()
 		if primary {
-			sh.SA.PreQueue(p.arrival)
+			sh.Stages().PreQueue(p.arrival)
 		}
-		sh.SA.Begin(now)
+		sh.Stages().Begin(now)
 		var done sim.Time
 		var err error
 		if p.write {
@@ -494,10 +494,10 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 		} else {
 			sh.readBuf, done, err = sh.Store.Get(now, p.key, sh.readBuf[:0])
 		}
-		sh.SA.Finish(done)
+		sh.Stages().Finish(done)
 		var segs []telemetry.StageSeg
 		if opts.Tail != nil {
-			segs = append(segs, sh.SA.LastSegs()...)
+			segs = append(segs, sh.Stages().LastSegs()...)
 		}
 		res.Shards[si].Executions++
 		if err != nil && tolerable(err) {
@@ -759,9 +759,9 @@ func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
 	for _, sh := range c.shards {
 		sh := sh
 		lbl := telemetry.L("shard", strconv.Itoa(sh.ID))
-		sh.SA.BindRegistry(reg, lbl)
-		for i := 0; i < sh.Res.Len(); i++ {
-			tl := sh.Res.At(i)
+		sh.Stages().BindRegistry(reg, lbl)
+		for i := 0; i < sh.Resources().Len(); i++ {
+			tl := sh.Resources().At(i)
 			reg.GaugeFunc("pipette_resource_utilization",
 				"busy fraction of elapsed virtual time per hardware resource",
 				func() float64 {

@@ -20,9 +20,9 @@ func shardGets(t *testing.T, c *Cluster, start sim.Time, records uint64, passes 
 	wrong := 0
 	for pass := 0; pass < passes; pass++ {
 		for rec := uint64(0); rec < records; rec++ {
-			sh.SA.Begin(now)
+			sh.Stages().Begin(now)
 			buf, now, err = sh.Store.Get(now, testKey(0, rec), buf[:0])
-			sh.SA.Finish(now)
+			sh.Stages().Finish(now)
 			if err != nil {
 				t.Fatalf("get record %d: %v", rec, err)
 			}
@@ -81,7 +81,7 @@ func TestShardFineStageAttribution(t *testing.T) {
 		records: records,
 	})
 	sh := c.Shard(0)
-	sh.SA.SetOnFinish(func(segs []telemetry.StageSeg, from, to sim.Time) {
+	sh.Stages().SetOnFinish(func(segs []telemetry.StageSeg, from, to sim.Time) {
 		at := from
 		for _, seg := range segs {
 			if seg.Start != at {
@@ -99,14 +99,14 @@ func TestShardFineStageAttribution(t *testing.T) {
 		t.Fatalf("%d fine reads, %d fine-cache hits: the test misses the fine path",
 			ss.IO.FineReads, ss.FineCache.Hits)
 	}
-	snap := sh.SA.Snapshot()
+	snap := sh.Stages().Snapshot()
 	if snap.Hists[telemetry.StageConstruct].Count() == 0 {
 		t.Error("no requests attributed to construct")
 	}
 	if snap.Hists[telemetry.StageCache].Count() == 0 {
 		t.Error("fine-cache hits but no requests attributed to cache")
 	}
-	if sh.SA.Gaps() != 0 || snap.Sum() != snap.Elapsed {
-		t.Errorf("conservation: gaps %d, sum %v, elapsed %v", sh.SA.Gaps(), snap.Sum(), snap.Elapsed)
+	if sh.Stages().Gaps() != 0 || snap.Sum() != snap.Elapsed {
+		t.Errorf("conservation: gaps %d, sum %v, elapsed %v", sh.Stages().Gaps(), snap.Sum(), snap.Elapsed)
 	}
 }

@@ -53,12 +53,10 @@ type Pipette struct {
 	io          metrics.IO
 	rng         *sim.RNG
 	stats       Stats
-	tr          telemetry.Tracer
-	sa          *telemetry.StageAccount
+	ins         *telemetry.Instruments
 
 	// Fault handling: with an injector armed the host validates fine-read
 	// payloads and re-serves corrupted requests through the block path.
-	inj       *fault.Injector
 	fltRingFB telemetry.Counter
 	fltDMAFB  telemetry.Counter
 
@@ -78,14 +76,23 @@ var _ vfs.FineRouter = (*Pipette)(nil)
 // it allocates the HMB region, performs the HMB handshake with the
 // controller, builds the Data Area slab allocator, and installs itself as
 // the VFS's fine router.
-func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
+//
+// From ins the framework reads the tracer (fine-path spans), the stage
+// account (fine-cache hits, constructor work, fallback waste) and the fault
+// injector, which it shares with the HMB info ring: Info-Area records may
+// corrupt in shared memory (the ring seals and verifies them), and
+// fine-read DMA payloads are validated against the device's checksum. Give
+// the controller the same ins so both ends agree on when validation runs.
+// A nil ins is all off.
+func New(v *vfs.VFS, drv *nvme.Driver, cfg Config, ins *telemetry.Instruments) (*Pipette, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.HMB.TempSlot < cfg.FineMaxBytes {
 		return nil, fmt.Errorf("core: TempSlot %d < FineMaxBytes %d", cfg.HMB.TempSlot, cfg.FineMaxBytes)
 	}
-	region, err := hmb.New(cfg.HMB)
+	ins = ins.OrOff()
+	region, err := hmb.New(cfg.HMB, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +122,7 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 		staleStages: make([]int, alloc.Classes()),
 		basePCPages: v.PageCache().Capacity(),
 		rng:         sim.NewRNG(cfg.Seed),
-		tr:          telemetry.Nop(),
+		ins:         ins,
 	}
 	v.SetRouter(p)
 	return p, nil
@@ -131,23 +138,6 @@ func (p *Pipette) Threshold() uint32 { return p.threshold }
 
 // OverflowBytes reports bytes resident in the overflow FIFO.
 func (p *Pipette) OverflowBytes() int { return p.overBytes }
-
-// SetTracer installs a tracer on the fine-grained read path.
-func (p *Pipette) SetTracer(tr telemetry.Tracer) { p.tr = telemetry.OrNop(tr) }
-
-// SetStages installs the per-request stage account; the framework
-// attributes fine-cache hits, constructor work, and fallback waste.
-func (p *Pipette) SetStages(sa *telemetry.StageAccount) { p.sa = sa }
-
-// SetInjector arms the host side of fault handling: Info-Area records may
-// corrupt in shared memory (the ring seals and verifies them), and fine-read
-// DMA payloads are validated against the device's checksum. Wire the same
-// injector into the controller (ssd.Controller.SetInjector) so both ends
-// agree on when validation runs.
-func (p *Pipette) SetInjector(inj *fault.Injector) {
-	p.inj = inj
-	p.region.Info().SetInjector(inj)
-}
 
 // RingFallbacks reports fine reads re-served via block I/O after the device
 // rejected a corrupted Info-Area record.
@@ -236,10 +226,10 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 		covering.refCount++
 		p.serveFrom(covering, off, buf)
 		p.afterAccess()
-		if p.tr.Enabled() {
-			p.tr.Span(telemetry.TrackFine, "hit", now, now+p.cfg.HitService)
+		if tr := p.ins.Tracer; tr.Enabled() {
+			tr.Span(telemetry.TrackFine, "hit", now, now+p.cfg.HitService)
 		}
-		p.sa.MarkRes(telemetry.StageCache, now+p.cfg.HitService, ResHostCache)
+		p.ins.Stages.MarkRes(telemetry.StageCache, now+p.cfg.HitService, ResHostCache)
 		return now + p.cfg.HitService, true, nil
 	}
 	p.fg.Record(false)
@@ -323,7 +313,7 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 		return now, fmt.Errorf("core: info ring: %w", err)
 	}
 	issueAt := now + p.cfg.MissHostOverhead
-	p.sa.Mark(telemetry.StageConstruct, issueAt)
+	p.ins.Stages.Mark(telemetry.StageConstruct, issueAt)
 	comp, err := p.drv.Submit(issueAt, nvme.Command{
 		Op:       nvme.OpFineRead,
 		FineLBAs: lbas,
@@ -343,15 +333,15 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 	if err := p.region.ReadAt(dest, buf); err != nil {
 		return comp.Done, err
 	}
-	if p.inj.Enabled() && fault.Sum32(buf) != comp.PayloadSum {
+	if p.ins.Injector.Enabled() && fault.Sum32(buf) != comp.PayloadSum {
 		// In-flight DMA corruption: the landed bytes disagree with the
 		// device's pre-transfer checksum. Discard and fall back.
 		p.fltDMAFB.Inc()
 		return comp.Done, errFineFallback
 	}
-	if p.tr.Enabled() {
+	if tr := p.ins.Tracer; tr.Enabled() {
 		// Constructor + Requester host work before the command hits the wire.
-		p.tr.Span(telemetry.TrackFine, "construct", now, now+p.cfg.MissHostOverhead)
+		tr.Span(telemetry.TrackFine, "construct", now, now+p.cfg.MissHostOverhead)
 	}
 	return comp.Done, nil
 }
@@ -362,10 +352,10 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 // attributed since the attempt began is re-labeled as retry — the
 // conservation sum still holds while the waterfall shows the fallback cost.
 func (p *Pipette) fallBack(now, done sim.Time) sim.Time {
-	p.sa.Reattribute(now, telemetry.StageRetry)
-	p.sa.Mark(telemetry.StageRetry, done)
-	if p.tr.Enabled() {
-		p.tr.Span(telemetry.TrackFine, "fault.fallback", now, done)
+	p.ins.Stages.Reattribute(now, telemetry.StageRetry)
+	p.ins.Stages.Mark(telemetry.StageRetry, done)
+	if tr := p.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackFine, "fault.fallback", now, done)
 	}
 	return done
 }

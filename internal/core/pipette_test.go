@@ -42,23 +42,23 @@ func newStack(t testing.TB, coreCfg Config, pcPages int, fileSize int64) *stack 
 	scfg.NAND.PlanesPerDie = 1
 	scfg.NAND.BlocksPerPlane = 64
 	scfg.NAND.PagesPerBlock = 64
-	ctrl, err := ssd.New(scfg)
+	ctrl, err := ssd.New(scfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
-	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts(), nil)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := extfs.New(ctrl)
 	vcfg := vfs.DefaultConfig()
 	vcfg.PageCachePages = pcPages
-	v, err := vfs.New(fs, blk, vcfg)
+	v, err := vfs.New(fs, blk, vcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(v, drv, coreCfg)
+	p, err := New(v, drv, coreCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestNewRejectsSmallTempSlot(t *testing.T) {
 	cfg.HMB.TempSlot = 128
 	cfg.FineMaxBytes = 2048
 	s := newStackNoPipette(t)
-	if _, err := New(s.v, s.drvKeep, cfg); err == nil {
+	if _, err := New(s.v, s.drvKeep, cfg, nil); err == nil {
 		t.Fatal("TempSlot < FineMaxBytes accepted")
 	}
 }
@@ -143,16 +143,16 @@ func newStackNoPipette(t testing.TB) *bareStack {
 	scfg.NAND.PlanesPerDie = 1
 	scfg.NAND.BlocksPerPlane = 16
 	scfg.NAND.PagesPerBlock = 16
-	ctrl, err := ssd.New(scfg)
+	ctrl, err := ssd.New(scfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriverQueues(ctrl, 1, 16, nvme.DefaultCosts())
-	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
+	drv := nvme.NewDriverQueues(ctrl, 1, 16, nvme.DefaultCosts(), nil)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := vfs.New(extfs.New(ctrl), blk, vfs.DefaultConfig())
+	v, err := vfs.New(extfs.New(ctrl), blk, vfs.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func testFS(t testing.TB) *FS {
 	cfg.NAND.PlanesPerDie = 1
 	cfg.NAND.BlocksPerPlane = 32
 	cfg.NAND.PagesPerBlock = 32
-	ctrl, err := ssd.New(cfg)
+	ctrl, err := ssd.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ func benchFTL(b *testing.B) *FTL {
 	cfg.PlanesPerDie = 2
 	cfg.BlocksPerPlane = 16
 	cfg.PagesPerBlock = 32
-	arr, err := nand.New(cfg)
+	arr, err := nand.New(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := New(arr, DefaultConfig())
+	f, err := New(arr, DefaultConfig(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

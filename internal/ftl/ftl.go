@@ -103,14 +103,17 @@ type FTL struct {
 
 	logicalPages uint64
 	stats        Stats
-	tr           telemetry.Tracer
-	sa           *telemetry.StageAccount
+	ins          *telemetry.Instruments
 	dieLabels    []string // interned per-die blame labels ("nand.ch0.w0", ...)
 }
 
 // New builds an FTL over the array. Bad blocks already marked on the array
-// are excluded from the pools.
-func New(arr *nand.Array, cfg Config) (*FTL, error) {
+// are excluded from the pools. From ins the FTL reads the tracer (GC spans)
+// and the stage account: page reads mark the NAND stage, programs
+// (including GC the write triggered) mark the program stage. The map
+// lookup itself costs no modeled time — it is covered by the controller's
+// firmware stage. A nil ins is all off.
+func New(arr *nand.Array, cfg Config, ins *telemetry.Instruments) (*FTL, error) {
 	if cfg.OverprovisionPct < 0 || cfg.OverprovisionPct >= 50 {
 		return nil, fmt.Errorf("ftl: overprovision %d%% out of [0,50)", cfg.OverprovisionPct)
 	}
@@ -128,7 +131,7 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 		freeBlocks: make([][]nand.BlockID, geo.Dies()),
 		open:       make([]openBlock, geo.Dies()),
 		relocBuf:   make([]byte, geo.PageSize),
-		tr:         telemetry.Nop(),
+		ins:        ins.OrOff(),
 		dieLabels:  make([]string, geo.Dies()),
 	}
 	// Per-die blame labels, matching the nand package's die timeline names
@@ -185,18 +188,6 @@ func (f *FTL) PageSize() int { return f.geo.PageSize }
 // Stats returns a copy of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
 
-// SetTracer installs a tracer on the FTL and its NAND array.
-func (f *FTL) SetTracer(tr telemetry.Tracer) {
-	f.tr = telemetry.OrNop(tr)
-	f.arr.SetTracer(f.tr)
-}
-
-// SetStages installs the per-request stage account. The FTL attributes
-// media time: page reads mark the NAND stage, programs (including GC the
-// write triggered) mark the program stage. The map lookup itself costs no
-// modeled time — it is covered by the controller's firmware stage.
-func (f *FTL) SetStages(sa *telemetry.StageAccount) { f.sa = sa }
-
 // Array exposes the underlying NAND array (the SSD controller needs it for
 // the fine-grained read engine's direct page loads).
 func (f *FTL) Array() *nand.Array { return f.arr }
@@ -237,7 +228,7 @@ func (f *FTL) ReadInto(now sim.Time, lba LBA, buf []byte) (sim.Time, error) {
 	}
 	done, err := f.arr.ReadPageInto(now, ppa, buf)
 	if err == nil {
-		f.sa.MarkRes(telemetry.StageNAND, done, f.dieLabels[f.geo.DieOf(ppa)])
+		f.ins.Stages.MarkRes(telemetry.StageNAND, done, f.dieLabels[f.geo.DieOf(ppa)])
 	}
 	return done, err
 }
@@ -317,8 +308,8 @@ func (f *FTL) ensureFree(now sim.Time, die int) (sim.Time, error) {
 // the fewest live pages, relocate them, erase.
 func (f *FTL) collectDie(now sim.Time, die int) (sim.Time, error) {
 	done, err := f.collectDieAt(now, die)
-	if err == nil && f.tr.Enabled() {
-		f.tr.Span(telemetry.TrackFTL, "gc", now, done)
+	if tr := f.ins.Tracer; err == nil && tr.Enabled() {
+		tr.Span(telemetry.TrackFTL, "gc", now, done)
 	}
 	return done, err
 }
@@ -434,7 +425,7 @@ func (f *FTL) Write(now sim.Time, lba LBA, data []byte) (sim.Time, error) {
 	}
 	f.setMapping(lba, ppa)
 	f.stats.HostWrites++
-	f.sa.MarkRes(telemetry.StageProgram, done, f.dieLabels[f.geo.DieOf(ppa)])
+	f.ins.Stages.MarkRes(telemetry.StageProgram, done, f.dieLabels[f.geo.DieOf(ppa)])
 	return done, nil
 }
 

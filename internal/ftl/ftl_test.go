@@ -18,7 +18,7 @@ func smallNAND(t testing.TB) *nand.Array {
 	cfg.PlanesPerDie = 1
 	cfg.BlocksPerPlane = 8
 	cfg.PagesPerBlock = 8
-	a, err := nand.New(cfg)
+	a, err := nand.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func smallNAND(t testing.TB) *nand.Array {
 
 func newFTL(t testing.TB, arr *nand.Array) *FTL {
 	t.Helper()
-	f, err := New(arr, DefaultConfig())
+	f, err := New(arr, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,10 @@ func page(f *FTL, fill byte) []byte {
 
 func TestNewValidation(t *testing.T) {
 	arr := smallNAND(t)
-	if _, err := New(arr, Config{OverprovisionPct: 60, GCFreeBlockLow: 2}); err == nil {
+	if _, err := New(arr, Config{OverprovisionPct: 60, GCFreeBlockLow: 2}, nil); err == nil {
 		t.Error("overprovision 60% accepted")
 	}
-	if _, err := New(arr, Config{OverprovisionPct: 7, GCFreeBlockLow: 0}); err == nil {
+	if _, err := New(arr, Config{OverprovisionPct: 7, GCFreeBlockLow: 0}, nil); err == nil {
 		t.Error("GCFreeBlockLow 0 accepted")
 	}
 }
@@ -366,11 +366,11 @@ func BenchmarkFTLWrite(b *testing.B) {
 	cfg := nand.DefaultConfig()
 	cfg.BlocksPerPlane = 32
 	cfg.PagesPerBlock = 64
-	arr, err := nand.New(cfg)
+	arr, err := nand.New(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := New(arr, DefaultConfig())
+	f, err := New(arr, DefaultConfig(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,13 +16,13 @@ func wearStack(t *testing.T, delta int) (*nand.Array, *FTL) {
 	cfg.PlanesPerDie = 1
 	cfg.BlocksPerPlane = 12
 	cfg.PagesPerBlock = 8
-	arr, err := nand.New(cfg)
+	arr, err := nand.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := DefaultConfig()
 	fcfg.WearDelta = delta
-	f, err := New(arr, fcfg)
+	f, err := New(arr, fcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

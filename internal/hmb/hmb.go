@@ -23,6 +23,7 @@ import (
 
 	"pipette/internal/fault"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
 
 // InfoRecord is one Info Area entry, written by the host's Constructor and
@@ -65,12 +66,8 @@ type InfoRing struct {
 	head    uint32 // device-advanced: consumed
 	tail    uint32 // host-advanced: produced
 
-	inj *fault.Injector
+	ins *telemetry.Instruments
 }
-
-// SetInjector arms hmb.ring fault injection: records may corrupt between
-// the host's append and the device's consume.
-func (r *InfoRing) SetInjector(inj *fault.Injector) { r.inj = inj }
 
 // corrupt flips one bit of one payload field, both selected by the
 // injection severity draw.
@@ -88,12 +85,14 @@ func corrupt(rec *InfoRecord, sev float64) {
 	}
 }
 
-// NewInfoRing creates a ring with the given number of record slots.
-func NewInfoRing(slots int) *InfoRing {
+// NewInfoRing creates a ring with the given number of record slots. With a
+// fault injector in ins, records may corrupt between the host's append and
+// the device's consume (hmb.ring); a nil ins is all off.
+func NewInfoRing(slots int, ins *telemetry.Instruments) *InfoRing {
 	if slots < 2 {
 		panic("hmb: info ring needs >= 2 slots")
 	}
-	return &InfoRing{records: make([]InfoRecord, slots)}
+	return &InfoRing{records: make([]InfoRecord, slots), ins: ins.OrOff()}
 }
 
 // Pending reports records produced but not yet consumed.
@@ -111,7 +110,7 @@ func (r *InfoRing) Push(rec InfoRecord) error {
 		return ErrRingFull
 	}
 	rec.Sum = recSum(rec)
-	if out := r.inj.Check(fault.SiteHMBRing, rec.LBA); out.Hit {
+	if out := r.ins.Injector.Check(fault.SiteHMBRing, rec.LBA); out.Hit {
 		corrupt(&rec, out.Sev)
 	}
 	r.records[r.tail%uint32(len(r.records))] = rec
@@ -183,15 +182,16 @@ type Region struct {
 	tempNext int // rotating allocation cursor within the TempBuf Area
 }
 
-// New allocates a region.
-func New(cfg Config) (*Region, error) {
+// New allocates a region; its info ring reads the fault injector from ins
+// (nil is all off).
+func New(cfg Config, ins *telemetry.Instruments) (*Region, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Region{
 		cfg:      cfg,
 		buf:      make([]byte, cfg.DataBytes+cfg.TempBufBytes),
-		info:     NewInfoRing(cfg.InfoSlots),
+		info:     NewInfoRing(cfg.InfoSlots, ins),
 		tempBase: cfg.DataBytes,
 	}, nil
 }

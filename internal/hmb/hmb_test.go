@@ -29,7 +29,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestInfoRingProtocol(t *testing.T) {
-	r := NewInfoRing(4) // capacity 3
+	r := NewInfoRing(4, nil) // capacity 3
 	if r.Cap() != 3 || r.Pending() != 0 {
 		t.Fatalf("fresh ring cap=%d pending=%d", r.Cap(), r.Pending())
 	}
@@ -61,7 +61,7 @@ func TestInfoRingProtocol(t *testing.T) {
 
 func TestInfoRingWrapProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		r := NewInfoRing(4)
+		r := NewInfoRing(4, nil)
 		var pushed, consumed uint64
 		for _, isPush := range ops {
 			if isPush {
@@ -83,7 +83,7 @@ func TestInfoRingWrapProperty(t *testing.T) {
 }
 
 func TestRegionReadWrite(t *testing.T) {
-	r, err := New(smallConfig())
+	r, err := New(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRegionReadWrite(t *testing.T) {
 }
 
 func TestRegionSlice(t *testing.T) {
-	r, err := New(smallConfig())
+	r, err := New(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRegionSlice(t *testing.T) {
 
 func TestAllocTempRotation(t *testing.T) {
 	cfg := smallConfig()
-	r, err := New(cfg)
+	r, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAllocTempRotation(t *testing.T) {
 }
 
 func TestDataSize(t *testing.T) {
-	r, err := New(smallConfig())
+	r, err := New(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

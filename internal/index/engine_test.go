@@ -27,24 +27,24 @@ func testBackend(t testing.TB, fine bool) index.Backend {
 	cfg.NAND.PlanesPerDie = 1
 	cfg.NAND.BlocksPerPlane = 64
 	cfg.NAND.PagesPerBlock = 64
-	ctrl, err := ssd.New(cfg)
+	ctrl, err := ssd.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
-	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts(), nil)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := extfs.New(ctrl)
 	vcfg := vfs.DefaultConfig()
 	vcfg.PageCachePages = 64
-	v, err := vfs.New(fs, blk, vcfg)
+	v, err := vfs.New(fs, blk, vcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fine {
-		if _, err := core.New(v, drv, core.DefaultConfig()); err != nil {
+		if _, err := core.New(v, drv, core.DefaultConfig(), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -259,7 +259,7 @@ type Array struct {
 	stats   Stats
 	pattern patternSource
 
-	tr        telemetry.Tracer
+	ins       *telemetry.Instruments
 	dieTracks []string // per-die span track names ("nand/d3")
 	chTracks  []string // per-channel span track names ("nand/ch0")
 
@@ -267,8 +267,11 @@ type Array struct {
 	dieRes []*resource.Timeline // per-die occupancy timelines
 }
 
-// New creates an array. The whole device starts erased.
-func New(cfg Config) (*Array, error) {
+// New creates an array. The whole device starts erased. With a resource
+// tracker in ins it registers one timeline per channel bus ("nand.ch0")
+// and then one per die ("nand.ch0.w0" — channel × way); a nil ins is all
+// off.
+func New(cfg Config, ins *telemetry.Instruments) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -282,46 +285,29 @@ func New(cfg Config) (*Array, error) {
 		rng:     sim.NewRNG(cfg.ContentSeed ^ 0xfeed_beef),
 		timing:  timings[cfg.Cell],
 		pattern: patternSource{seed: cfg.ContentSeed, pageSize: cfg.PageSize},
-		tr:      telemetry.Nop(),
+		ins:     ins.OrOff(),
+	}
+	// Span track names are precomputed so the hot path does no formatting.
+	a.chTracks = make([]string, cfg.Channels)
+	for ch := range a.chTracks {
+		a.chTracks[ch] = fmt.Sprintf("nand/ch%d", ch)
+	}
+	a.dieTracks = make([]string, cfg.Dies())
+	for die := range a.dieTracks {
+		a.dieTracks[die] = fmt.Sprintf("nand/d%d", die)
+	}
+	if rt := a.ins.Resources; rt != nil {
+		a.chRes = make([]*resource.Timeline, cfg.Channels)
+		for ch := range a.chRes {
+			a.chRes[ch] = rt.Register(fmt.Sprintf("nand.ch%d", ch))
+		}
+		a.dieRes = make([]*resource.Timeline, cfg.Dies())
+		for die := range a.dieRes {
+			a.dieRes[die] = rt.Register(fmt.Sprintf("nand.ch%d.w%d",
+				die/cfg.WaysPerChannel, die%cfg.WaysPerChannel))
+		}
 	}
 	return a, nil
-}
-
-// SetTracer installs a tracer. Per-die and per-channel track names are
-// precomputed so the hot path does no formatting.
-func (a *Array) SetTracer(tr telemetry.Tracer) {
-	a.tr = telemetry.OrNop(tr)
-	if !a.tr.Enabled() {
-		return
-	}
-	a.dieTracks = make([]string, a.cfg.Dies())
-	for i := range a.dieTracks {
-		a.dieTracks[i] = fmt.Sprintf("nand/d%d", i)
-	}
-	a.chTracks = make([]string, a.cfg.Channels)
-	for i := range a.chTracks {
-		a.chTracks[i] = fmt.Sprintf("nand/ch%d", i)
-	}
-}
-
-// SetResources registers the array's channels and dies with a resource
-// tracker: one timeline per channel bus ("nand.ch0") and one per die
-// ("nand.ch0.w0" — channel × way), in that order. A nil tracker turns
-// recording off.
-func (a *Array) SetResources(rt *resource.Tracker) {
-	if rt == nil {
-		a.chRes, a.dieRes = nil, nil
-		return
-	}
-	a.chRes = make([]*resource.Timeline, a.cfg.Channels)
-	for ch := range a.chRes {
-		a.chRes[ch] = rt.Register(fmt.Sprintf("nand.ch%d", ch))
-	}
-	a.dieRes = make([]*resource.Timeline, a.cfg.Dies())
-	for die := range a.dieRes {
-		a.dieRes[die] = rt.Register(fmt.Sprintf("nand.ch%d.w%d",
-			die/a.cfg.WaysPerChannel, die%a.cfg.WaysPerChannel))
-	}
 }
 
 // ChannelBusy reports the cumulative busy time of one channel bus — the
@@ -412,9 +398,9 @@ func (a *Array) ReadPageInto(now sim.Time, p PPA, buf []byte) (sim.Time, error) 
 	die, ch := a.cfg.DieOf(p), a.cfg.ChannelOf(p)
 	senseStart, senseEnd := a.dies.Acquire(die, now, tR)
 	txStart, done := a.buses.Acquire(ch, senseEnd, a.cfg.transferTime(a.cfg.PageSize))
-	if a.tr.Enabled() {
-		a.tr.Span(a.dieTracks[die], "tR", senseStart, senseEnd)
-		a.tr.Span(a.chTracks[ch], "xfer", txStart, done)
+	if tr := a.ins.Tracer; tr.Enabled() {
+		tr.Span(a.dieTracks[die], "tR", senseStart, senseEnd)
+		tr.Span(a.chTracks[ch], "xfer", txStart, done)
 	}
 	if a.dieRes != nil {
 		a.dieRes[die].Add(senseStart, senseEnd)
@@ -477,9 +463,9 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	die, ch := a.cfg.DieOf(p), a.cfg.ChannelOf(p)
 	txStart, txEnd := a.buses.Acquire(ch, now, a.cfg.transferTime(a.cfg.PageSize))
 	progStart, done := a.dies.Acquire(die, txEnd, a.timing.Program)
-	if a.tr.Enabled() {
-		a.tr.Span(a.chTracks[ch], "xfer", txStart, txEnd)
-		a.tr.Span(a.dieTracks[die], "tPROG", progStart, done)
+	if tr := a.ins.Tracer; tr.Enabled() {
+		tr.Span(a.chTracks[ch], "xfer", txStart, txEnd)
+		tr.Span(a.dieTracks[die], "tPROG", progStart, done)
 	}
 	if a.dieRes != nil {
 		a.chRes[ch].Add(txStart, txEnd)
@@ -514,8 +500,8 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 	bs.nextPage = 0
 	die := a.cfg.DieOf(first)
 	eraseStart, done := a.dies.Acquire(die, now, a.timing.EraseBlock)
-	if a.tr.Enabled() {
-		a.tr.Span(a.dieTracks[die], "tBERS", eraseStart, done)
+	if tr := a.ins.Tracer; tr.Enabled() {
+		tr.Span(a.dieTracks[die], "tBERS", eraseStart, done)
 	}
 	if a.dieRes != nil {
 		a.dieRes[die].Add(eraseStart, done)

@@ -21,7 +21,7 @@ func testConfig() Config {
 
 func mustArray(t *testing.T, cfg Config) *Array {
 	t.Helper()
-	a, err := New(cfg)
+	a, err := New(cfg, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -447,7 +447,7 @@ func TestPatternFillConsistentAcrossOffsets(t *testing.T) {
 
 func BenchmarkReadPage(b *testing.B) {
 	cfg := DefaultConfig()
-	a, err := New(cfg)
+	a, err := New(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

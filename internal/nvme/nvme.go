@@ -360,8 +360,7 @@ type MultiQueue struct {
 	inFlight  int
 	err       error
 
-	tr       telemetry.Tracer
-	sa       *telemetry.StageAccount
+	ins      *telemetry.Instruments
 	ringRes  *resource.Timeline // ring-protocol occupancy (nil = off)
 	sqLabels []string           // interned per-pair blame labels ("nvme.sq0", ...)
 
@@ -369,17 +368,23 @@ type MultiQueue struct {
 }
 
 // NewMultiQueue builds pairs SQ/CQ pairs of the given depth over dev,
-// scheduling on eng.
-func NewMultiQueue(dev Device, pairs, depth int, costs Costs, eng *sim.Engine) *MultiQueue {
+// scheduling on eng. From ins the transport reads the tracer (one span per
+// command on the nvme track, doorbell to completion reap) and the stage
+// account (ring-protocol costs: doorbell, fetch, completion); with a
+// resource tracker it registers the "nvme.ring" occupancy timeline. A nil
+// ins is all off.
+func NewMultiQueue(dev Device, pairs, depth int, costs Costs, eng *sim.Engine, ins *telemetry.Instruments) *MultiQueue {
 	if pairs < 1 {
 		pairs = 1
 	}
+	ins = ins.OrOff()
 	m := &MultiQueue{
-		pairs: make([]queuePair, pairs),
-		dev:   dev,
-		costs: costs,
-		eng:   eng,
-		tr:    telemetry.Nop(),
+		pairs:   make([]queuePair, pairs),
+		dev:     dev,
+		costs:   costs,
+		eng:     eng,
+		ins:     ins,
+		ringRes: ins.Resources.Register(ResRing),
 	}
 	m.sqLabels = make([]string, pairs)
 	for i := range m.pairs {
@@ -397,18 +402,6 @@ func (m *MultiQueue) Depth() int { return m.pairs[0].sq.Cap() }
 
 // InFlight reports commands submitted but not yet completed.
 func (m *MultiQueue) InFlight() int { return m.inFlight }
-
-// SetTracer installs a tracer; each submitted command becomes one span on
-// the nvme track, covering doorbell to completion reap.
-func (m *MultiQueue) SetTracer(tr telemetry.Tracer) { m.tr = telemetry.OrNop(tr) }
-
-// SetStages installs the per-request stage account; the transport
-// attributes the ring-protocol costs (doorbell, fetch, completion).
-func (m *MultiQueue) SetStages(sa *telemetry.StageAccount) { m.sa = sa }
-
-// SetRingTimeline records the ring protocol's occupancy windows on a
-// resource timeline (nil turns recording off).
-func (m *MultiQueue) SetRingTimeline(tl *resource.Timeline) { m.ringRes = tl }
 
 // Stats reports commands submitted and completed.
 func (m *MultiQueue) Stats() (submitted, completed uint64) {
@@ -474,7 +467,7 @@ func (m *MultiQueue) Submit(now sim.Time, cmd Command, complete func(Completion)
 	} else {
 		fetchEnd = now + m.costs.Doorbell + m.costs.Fetch
 	}
-	m.sa.MarkRes(telemetry.StageRing, fetchEnd, m.sqLabels[pairIdx])
+	m.ins.Stages.MarkRes(telemetry.StageRing, fetchEnd, m.sqLabels[pairIdx])
 	m.ringRes.Add(now, fetchEnd)
 
 	ic := m.get()
@@ -500,7 +493,7 @@ func (m *MultiQueue) fetch(ic *inflight) {
 	comp.ID = ic.cmd.ID
 	execDone := comp.Done
 	comp.Done += m.costs.Completion
-	m.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
+	m.ins.Stages.MarkRes(telemetry.StageRing, comp.Done, ResRing)
 	m.ringRes.Add(execDone, comp.Done)
 	ic.comp = comp
 	m.eng.At(comp.Done, ic.reapFn)
@@ -524,8 +517,8 @@ func (m *MultiQueue) reap(ic *inflight) {
 	}
 	m.completed++
 	m.inFlight--
-	if m.tr.Enabled() {
-		m.tr.Span(telemetry.TrackNVMe, ic.cmd.Op.String(), ic.submitAt, reaped.Done)
+	if tr := m.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackNVMe, ic.cmd.Op.String(), ic.submitAt, reaped.Done)
 	}
 	cb := ic.complete
 	m.put(ic)
@@ -552,28 +545,17 @@ type Driver struct {
 }
 
 // NewDriverQueues builds a driver over pairs SQ/CQ pairs of the given
-// depth; submissions round-robin across the pairs.
-func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs) *Driver {
+// depth, instrumented by ins as NewMultiQueue describes; submissions
+// round-robin across the pairs.
+func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs, ins *telemetry.Instruments) *Driver {
 	eng := sim.NewEngine()
-	d := &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
+	d := &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng, ins), eng: eng}
 	d.onDone = func(c Completion) { d.out, d.done = c, true }
 	return d
 }
 
 // Queues exposes the underlying multi-queue transport.
 func (d *Driver) Queues() *MultiQueue { return d.mq }
-
-// SetTracer installs a tracer; each submitted command becomes one span on
-// the nvme track, covering doorbell to completion reap.
-func (d *Driver) SetTracer(tr telemetry.Tracer) { d.mq.SetTracer(tr) }
-
-// SetStages installs the per-request stage account; the driver attributes
-// the ring-protocol costs (doorbell, fetch, completion).
-func (d *Driver) SetStages(sa *telemetry.StageAccount) { d.mq.SetStages(sa) }
-
-// SetRingTimeline records the ring protocol's occupancy windows on a
-// resource timeline (nil turns recording off).
-func (d *Driver) SetRingTimeline(tl *resource.Timeline) { d.mq.SetRingTimeline(tl) }
 
 // Stats reports commands submitted and completed.
 func (d *Driver) Stats() (submitted, completed uint64) { return d.mq.Stats() }

@@ -126,7 +126,7 @@ func (d *echoDevice) Execute(now sim.Time, cmd *Command) Completion {
 func TestDriverSubmitTiming(t *testing.T) {
 	dev := &echoDevice{service: 10 * sim.Microsecond}
 	costs := DefaultCosts()
-	d := NewDriverQueues(dev, 1, 16, costs)
+	d := NewDriverQueues(dev, 1, 16, costs, nil)
 
 	comp, err := d.Submit(100*sim.Microsecond, Command{Op: OpRead, LBA: 7, Pages: 1})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestDriverSubmitTiming(t *testing.T) {
 
 func TestDriverAssignsIDs(t *testing.T) {
 	dev := &echoDevice{}
-	d := NewDriverQueues(dev, 1, 8, Costs{})
+	d := NewDriverQueues(dev, 1, 8, Costs{}, nil)
 	for i := 0; i < 5; i++ {
 		comp, err := d.Submit(0, Command{Op: OpFlush})
 		if err != nil {
@@ -186,7 +186,7 @@ func (d *sinkDevice) Execute(now sim.Time, cmd *Command) Completion {
 // pool is warm, for block and fine reads alike.
 func TestDriverSubmitAllocFree(t *testing.T) {
 	dev := &sinkDevice{service: 5 * sim.Microsecond}
-	d := NewDriverQueues(dev, 4, 64, DefaultCosts())
+	d := NewDriverQueues(dev, 4, 64, DefaultCosts(), nil)
 	buf := make([]byte, 4096)
 	lbas := []uint64{3, 9}
 	for _, tc := range []struct {
@@ -217,7 +217,7 @@ func TestDriverSubmitAllocFree(t *testing.T) {
 // BenchmarkDriverSubmit measures one synchronous command round trip over
 // a device that costs nothing on the host.
 func BenchmarkDriverSubmit(b *testing.B) {
-	d := NewDriverQueues(&sinkDevice{service: 5 * sim.Microsecond}, 4, 64, DefaultCosts())
+	d := NewDriverQueues(&sinkDevice{service: 5 * sim.Microsecond}, 4, 64, DefaultCosts(), nil)
 	cmd := Command{Op: OpRead, LBA: 7, Pages: 1, Data: make([]byte, 4096)}
 	now := sim.Time(0)
 	b.ReportAllocs()

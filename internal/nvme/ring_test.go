@@ -87,7 +87,7 @@ func TestCQHeadTailAcrossUint32Wrap(t *testing.T) {
 func TestMultiQueueBackpressureAtCapacity(t *testing.T) {
 	dev := &echoDevice{service: 5 * sim.Microsecond}
 	eng := sim.NewEngine()
-	mq := NewMultiQueue(dev, 1, 4, DefaultCosts(), eng) // one pair, capacity 3
+	mq := NewMultiQueue(dev, 1, 4, DefaultCosts(), eng, nil) // one pair, capacity 3
 
 	var got []Completion
 	cb := func(c Completion) { got = append(got, c) }
@@ -142,7 +142,7 @@ func TestMultiQueueBackpressureAtCapacity(t *testing.T) {
 func TestMultiQueueBackpressurePerPair(t *testing.T) {
 	dev := &echoDevice{service: sim.Microsecond}
 	eng := sim.NewEngine()
-	mq := NewMultiQueue(dev, 2, 2, Costs{}, eng) // two pairs, capacity 1 each
+	mq := NewMultiQueue(dev, 2, 2, Costs{}, eng, nil) // two pairs, capacity 1 each
 
 	cb := func(Completion) {}
 	if err := mq.Submit(0, Command{Op: OpFlush}, cb); err != nil {

@@ -15,7 +15,6 @@ package ssd
 import (
 	"pipette/internal/fault"
 	"pipette/internal/ftl"
-	"pipette/internal/nand"
 	"pipette/internal/nvme"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
@@ -29,15 +28,6 @@ type FaultStats struct {
 	RingCorruptions uint64 // Info-Area records rejected by checksum
 	DMACorruptions  uint64 // fine-read payloads corrupted in flight
 	ProgramRetries  uint64 // programs re-issued after a verify failure
-}
-
-// SetInjector arms fault injection on the device: raw bit errors on page
-// reads (the rber* rule resolves against the media's datasheet RBER and
-// the bits sensed per page), program/verify failures on writes, and DMA
-// payload corruption on fine reads.
-func (c *Controller) SetInjector(inj *fault.Injector) {
-	c.inj = inj
-	inj.ResolveRBER(fault.SiteNANDRead, nand.RBERFor(c.cfg.NAND.Cell), c.cfg.NAND.PageSize*8)
 }
 
 // Faults snapshots the recovery counters.
@@ -67,14 +57,14 @@ func (c *Controller) readLBAInto(now sim.Time, lba uint64, dst []byte) (done sim
 	if err != nil {
 		return done, false, err
 	}
-	if out := c.inj.Check(fault.SiteNANDRead, lba); out.Hit {
+	if out := c.ins.Injector.Check(fault.SiteNANDRead, lba); out.Hit {
 		// Everything attributed from here on is ladder work: capture the
 		// attribution frontier so the re-senses the FTL marks as NAND time
 		// get moved to the retry stage, keeping conservation exact.
-		frontier := c.sa.Cursor()
+		frontier := c.ins.Stages.Cursor()
 		done, err = c.eccRecover(done, lba, dst, out.Sev)
-		c.sa.Reattribute(frontier, telemetry.StageRetry)
-		c.sa.Mark(telemetry.StageRetry, done)
+		c.ins.Stages.Reattribute(frontier, telemetry.StageRetry)
+		c.ins.Stages.Mark(telemetry.StageRetry, done)
 	}
 	return done, true, err
 }
@@ -122,7 +112,7 @@ func (c *Controller) programLBA(now sim.Time, lba uint64, data []byte) (sim.Time
 	if err != nil {
 		return done, err
 	}
-	if out := c.inj.Check(fault.SiteNANDProgram, lba); out.Hit {
+	if out := c.ins.Injector.Check(fault.SiteNANDProgram, lba); out.Hit {
 		c.fltProgRetry.Inc()
 		done, err = c.fl.Write(done, ftl.LBA(lba), data)
 	}

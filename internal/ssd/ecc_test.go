@@ -8,17 +8,21 @@ import (
 	"pipette/internal/fault"
 	"pipette/internal/hmb"
 	"pipette/internal/nvme"
+	"pipette/internal/telemetry"
 )
 
-// armed builds a controller with a fault injector from the given profile.
+// armed builds a controller whose instruments carry a fault injector from
+// the given profile.
 func armed(t testing.TB, profile string, seed uint64) *Controller {
 	t.Helper()
-	c := newCtrl(t)
 	p, err := fault.ParseProfile(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetInjector(p.NewInjector(seed))
+	c, err := New(testConfig(), &telemetry.Instruments{Injector: p.NewInjector(seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
@@ -86,9 +90,8 @@ func TestECCUncorrectable(t *testing.T) {
 func TestFineReadRingCorruption(t *testing.T) {
 	c := armed(t, "hmb.ring:1#1", 7)
 	preload(t, c, 4)
-	region := newHMB(t)
+	region := newHMB(t, c.ins) // the ring shares the controller's injector
 	c.EnableHMB(region)
-	region.Info().SetInjector(c.inj)
 
 	if err := region.Info().Push(hmb.InfoRecord{LBA: 3, ByteOff: 100, ByteLen: 64, Dest: 0}); err != nil {
 		t.Fatal(err)
@@ -124,7 +127,7 @@ func TestFineReadRingCorruption(t *testing.T) {
 func TestFineReadDMACorruptionDetectable(t *testing.T) {
 	c := armed(t, "nvme.dma:1#1", 7)
 	preload(t, c, 4)
-	region := newHMB(t)
+	region := newHMB(t, nil)
 	c.EnableHMB(region)
 
 	const dest, off, n = 256, 500, 96

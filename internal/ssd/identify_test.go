@@ -26,7 +26,7 @@ func TestIdentify(t *testing.T) {
 	if id.HMBEnabled {
 		t.Fatal("HMB reported enabled before handshake")
 	}
-	r, err := hmb.New(hmb.DefaultConfig())
+	r, err := hmb.New(hmb.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSmartCounters(t *testing.T) {
 	if comp := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 20, Pages: 1, Data: data}); !comp.Ok() {
 		t.Fatalf("write: %+v", comp)
 	}
-	r, err := hmb.New(hmb.DefaultConfig())
+	r, err := hmb.New(hmb.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

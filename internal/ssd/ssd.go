@@ -151,10 +151,9 @@ type Controller struct {
 
 	readBuf []byte // controller-DRAM staging for fine reads (ReadBufferPages pages)
 
-	// Fault injection state: nil injector = Nop, and the counters stay at
-	// zero. The counters are atomic so telemetry probes can sample them;
-	// they live here (not in Stats) because Stats is copied by value.
-	inj            *fault.Injector
+	// Fault recovery counters, zero while no injector is armed. They are
+	// atomic so telemetry probes can sample them; they live here (not in
+	// Stats) because Stats is copied by value.
 	fltECCRetry    telemetry.Counter
 	fltUncorrect   telemetry.Counter
 	fltRingCorrupt telemetry.Counter
@@ -162,8 +161,7 @@ type Controller struct {
 	fltProgRetry   telemetry.Counter
 
 	stats  Stats
-	tr     telemetry.Tracer
-	sa     *telemetry.StageAccount
+	ins    *telemetry.Instruments
 	dmaRes *resource.Timeline // PCIe link occupancy (nil = off)
 	link   sim.Resource       // contended link state (LinkArbitration)
 }
@@ -182,18 +180,29 @@ func (c *Controller) linkSpan(at, dur sim.Time) (start, end sim.Time) {
 // (always zero unless LinkArbitration is on).
 func (c *Controller) LinkWaitTime() sim.Time { return c.link.WaitTime() }
 
-// New builds the full device stack: NAND array, FTL, controller.
-func New(cfg Config) (*Controller, error) {
-	arr, err := nand.New(cfg.NAND)
+// New builds the full device stack: NAND array, FTL, controller. Every
+// layer reads its instruments from ins (nil is all off). With a resource
+// tracker in ins the PCIe link ("pcie.dma", covering DMA bursts and MMIO
+// transactions) registers first, then the NAND channels and dies.
+func New(cfg Config, ins *telemetry.Instruments) (*Controller, error) {
+	ins = ins.OrOff()
+	dmaRes := ins.Resources.Register(ResDMALink)
+	arr, err := nand.New(cfg.NAND, ins)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithArray(cfg, arr)
+	return newController(cfg, arr, ins, dmaRes)
 }
 
 // NewWithArray builds a controller over an existing NAND array (tests use
-// this to pre-mark bad blocks).
-func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
+// this to pre-mark bad blocks). The link timeline registers after the
+// array's own.
+func NewWithArray(cfg Config, arr *nand.Array, ins *telemetry.Instruments) (*Controller, error) {
+	ins = ins.OrOff()
+	return newController(cfg, arr, ins, ins.Resources.Register(ResDMALink))
+}
+
+func newController(cfg Config, arr *nand.Array, ins *telemetry.Instruments, dmaRes *resource.Timeline) (*Controller, error) {
 	if cfg.ReadBufferPages <= 0 {
 		return nil, errors.New("ssd: ReadBufferPages must be positive")
 	}
@@ -203,7 +212,7 @@ func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
 	if cfg.CMBBytes < cfg.NAND.PageSize {
 		return nil, fmt.Errorf("ssd: CMB %d smaller than one page", cfg.CMBBytes)
 	}
-	fl, err := ftl.New(arr, cfg.FTL)
+	fl, err := ftl.New(arr, cfg.FTL, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +227,8 @@ func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
 		cmbSlots: cfg.CMBBytes / cfg.NAND.PageSize,
 		wbufIdx:  make(map[uint64]int),
 		readBuf:  make([]byte, cfg.ReadBufferPages*cfg.NAND.PageSize),
-		tr:       telemetry.Nop(),
+		ins:      ins,
+		dmaRes:   dmaRes,
 	}
 	c.cmbPages = make([]uint64, c.cmbSlots)
 	for i := range c.cmbPages {
@@ -245,34 +255,6 @@ const (
 	ResDMALink  = "pcie.dma"
 	ResFirmware = "cpu.fw"
 )
-
-// SetTracer installs a tracer on the controller and cascades it down to the
-// FTL and NAND array, so one call instruments the whole device.
-func (c *Controller) SetTracer(tr telemetry.Tracer) {
-	c.tr = telemetry.OrNop(tr)
-	c.fl.SetTracer(c.tr)
-}
-
-// SetStages installs the per-request stage account and cascades it to the
-// FTL, which attributes media time (NAND sense/transfer, programs, GC).
-// The controller itself attributes firmware, DMA, and ECC-retry time.
-func (c *Controller) SetStages(sa *telemetry.StageAccount) {
-	c.sa = sa
-	c.fl.SetStages(sa)
-}
-
-// SetResources registers the device's occupied resources with a tracker:
-// the PCIe link ("pcie.dma", covering DMA bursts and MMIO transactions),
-// then the NAND channels and dies.
-func (c *Controller) SetResources(rt *resource.Tracker) {
-	if rt == nil {
-		c.dmaRes = nil
-		c.arr.SetResources(nil)
-		return
-	}
-	c.dmaRes = rt.Register("pcie.dma")
-	c.arr.SetResources(rt)
-}
 
 // PageSize reports the device's page size.
 func (c *Controller) PageSize() int { return c.cfg.NAND.PageSize }
@@ -335,7 +317,7 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 	}
 	c.stats.BlockReadCmds++
 	start := now + c.cfg.FirmwareBlockOverhead
-	c.sa.MarkRes(telemetry.StageFirmware, start, ResFirmware)
+	c.ins.Stages.MarkRes(telemetry.StageFirmware, start, ResFirmware)
 
 	var moved uint64
 	maxDone := start
@@ -369,13 +351,13 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 	}
 	moved = uint64(cmd.Pages * ps)
 	dmaStart, done := c.linkSpan(maxDone, c.cfg.PCIe.dmaTime(int(moved)))
-	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
+	c.ins.Stages.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	c.stats.BytesToHost += moved
-	if c.tr.Enabled() {
-		c.tr.Span(telemetry.TrackSSD, "read.firmware", now, start)
-		c.tr.Span(telemetry.TrackSSD, "read.nand", start, maxDone)
-		c.tr.Span(telemetry.TrackSSD, "read.dma", dmaStart, done)
+	if tr := c.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackSSD, "read.firmware", now, start)
+		tr.Span(telemetry.TrackSSD, "read.nand", start, maxDone)
+		tr.Span(telemetry.TrackSSD, "read.dma", dmaStart, done)
 	}
 	return nvme.Completion{Status: nvme.StatusOK, Done: done, BytesMoved: moved}
 }
@@ -390,8 +372,8 @@ func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion 
 	c.stats.WriteCmds++
 	fwDone := now + c.cfg.FirmwareBlockOverhead
 	dmaStart, hostDone := c.linkSpan(fwDone, c.cfg.PCIe.dmaTime(len(cmd.Data)))
-	c.sa.MarkRes(telemetry.StageFirmware, fwDone, ResFirmware)
-	c.sa.MarkRes(telemetry.StageDMA, hostDone, ResDMALink)
+	c.ins.Stages.MarkRes(telemetry.StageFirmware, fwDone, ResFirmware)
+	c.ins.Stages.MarkRes(telemetry.StageDMA, hostDone, ResDMALink)
 	c.dmaRes.Add(dmaStart, hostDone)
 	t := hostDone
 	c.stats.BytesFromHost += uint64(len(cmd.Data))
@@ -402,9 +384,9 @@ func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion 
 		}
 		t = done
 	}
-	if c.tr.Enabled() {
-		c.tr.Span(telemetry.TrackSSD, "write.dma", now, hostDone)
-		c.tr.Span(telemetry.TrackSSD, "write.program", hostDone, t)
+	if tr := c.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackSSD, "write.dma", now, hostDone)
+		tr.Span(telemetry.TrackSSD, "write.program", hostDone, t)
 	}
 	return nvme.Completion{Status: nvme.StatusOK, Done: t, BytesMoved: uint64(len(cmd.Data))}
 }
@@ -421,7 +403,7 @@ func (c *Controller) execTrim(now sim.Time, cmd *nvme.Command) nvme.Completion {
 		}
 	}
 	done := now + c.cfg.FirmwareBlockOverhead
-	c.sa.MarkRes(telemetry.StageFirmware, done, ResFirmware)
+	c.ins.Stages.MarkRes(telemetry.StageFirmware, done, ResFirmware)
 	return nvme.Completion{Status: nvme.StatusOK, Done: done}
 }
 
@@ -444,7 +426,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 			// fields cannot be trusted; the host re-serves via block I/O.
 			c.fltRingCorrupt.Inc()
 			rejectAt := now + c.cfg.FirmwareFineOverhead
-			c.sa.MarkRes(telemetry.StageFirmware, rejectAt, ResFirmware)
+			c.ins.Stages.MarkRes(telemetry.StageFirmware, rejectAt, ResFirmware)
 			return nvme.Completion{Status: nvme.StatusCorruptRing, Done: rejectAt}
 		}
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
@@ -460,7 +442,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 	}
 	c.stats.FineReadCmds++
 	start := now + c.cfg.FirmwareFineOverhead
-	c.sa.MarkRes(telemetry.StageFirmware, start, ResFirmware)
+	c.ins.Stages.MarkRes(telemetry.StageFirmware, start, ResFirmware)
 
 	// Phase 1: load pages into the controller read buffer; they issue
 	// together and race across channels. Pages land contiguously, so the
@@ -490,25 +472,25 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 	// the landed bytes, so an in-flight bit flip is detected, not served.
 	payload := c.readBuf[rec.ByteOff : rec.ByteOff+rec.ByteLen]
 	var paySum uint32
-	if c.inj.Enabled() {
+	if c.ins.Injector.Enabled() {
 		paySum = fault.Sum32(payload)
 	}
 	if err := c.hmbRegion.WriteAt(rec.Dest, payload); err != nil {
 		return nvme.Completion{Status: nvme.StatusInternal, Done: maxDone}
 	}
-	if out := c.inj.Check(fault.SiteNVMeDMA, rec.LBA); out.Hit {
+	if out := c.ins.Injector.Check(fault.SiteNVMeDMA, rec.LBA); out.Hit {
 		c.fltDMACorrupt.Inc()
 		c.corruptHMB(rec.Dest, rec.ByteLen, out.Sev)
 	}
 	dmaStart, done := c.linkSpan(maxDone+c.cfg.ExtractOverhead, c.cfg.PCIe.dmaTime(rec.ByteLen))
-	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
+	c.ins.Stages.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	c.stats.RangesExtract++
 	c.stats.BytesToHost += uint64(rec.ByteLen)
-	if c.tr.Enabled() {
-		c.tr.Span(telemetry.TrackSSD, "fine.firmware", now, start)
-		c.tr.Span(telemetry.TrackSSD, "fine.load", start, maxDone)
-		c.tr.Span(telemetry.TrackSSD, "fine.extract", maxDone, done)
+	if tr := c.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackSSD, "fine.firmware", now, start)
+		tr.Span(telemetry.TrackSSD, "fine.load", start, maxDone)
+		tr.Span(telemetry.TrackSSD, "fine.extract", maxDone, done)
 	}
 	return nvme.Completion{
 		Status:     nvme.StatusOK,
@@ -561,7 +543,7 @@ func (c *Controller) MMIORead(now sim.Time, slot, off int, buf []byte) (sim.Time
 	c.stats.MMIOBytesRead += uint64(len(buf))
 	c.stats.BytesToHost += uint64(len(buf))
 	mmioStart, done := c.linkSpan(now, c.cfg.PCIe.mmioTime(len(buf)))
-	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
+	c.ins.Stages.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(mmioStart, done)
 	return done, nil
 }
@@ -577,7 +559,7 @@ func (c *Controller) DMAReadFromCMB(now sim.Time, slot, off int, buf []byte) (si
 	copy(buf, c.cmb[base+off:])
 	c.stats.BytesToHost += uint64(len(buf))
 	dmaStart, done := c.linkSpan(now, c.cfg.PCIe.dmaTime(len(buf)))
-	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
+	c.ins.Stages.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	return done, nil
 }

@@ -9,6 +9,7 @@ import (
 	"pipette/internal/nand"
 	"pipette/internal/nvme"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -23,7 +24,7 @@ func testConfig() Config {
 
 func newCtrl(t testing.TB) *Controller {
 	t.Helper()
-	c, err := New(testConfig())
+	c, err := New(testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +53,17 @@ func expected(c *Controller, lba uint64, off, n int) []byte {
 func TestNewValidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.ReadBufferPages = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := New(cfg, nil); err == nil {
 		t.Error("ReadBufferPages=0 accepted")
 	}
 	cfg = testConfig()
 	cfg.CMBBytes = 100
-	if _, err := New(cfg); err == nil {
+	if _, err := New(cfg, nil); err == nil {
 		t.Error("tiny CMB accepted")
 	}
 	cfg = testConfig()
 	cfg.PCIe.DMABandwidthMBps = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := New(cfg, nil); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
 }
@@ -97,7 +98,7 @@ func TestBlockReadParallelChannels(t *testing.T) {
 	// FTL stripes sequential LBAs channel-major, so a 2-page read uses both
 	// channels: its completion should be far less than twice a 1-page read.
 	one := c.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 0, Pages: 1, Data: make([]byte, c.PageSize())})
-	c2, err := New(testConfig())
+	c2, err := New(testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +190,9 @@ func TestUnknownOpcode(t *testing.T) {
 	}
 }
 
-func newHMB(t testing.TB) *hmb.Region {
+func newHMB(t testing.TB, ins *telemetry.Instruments) *hmb.Region {
 	t.Helper()
-	r, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 64})
+	r, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 64}, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestFineReadRequiresHMB(t *testing.T) {
 func TestFineReadExtractsRange(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	region := newHMB(t)
+	region := newHMB(t, nil)
 	c.EnableHMB(region)
 
 	const dest, off, n = 512, 1000, 128
@@ -245,7 +246,7 @@ func TestFineReadExtractsRange(t *testing.T) {
 func TestFineReadCrossPageRange(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	region := newHMB(t)
+	region := newHMB(t, nil)
 	c.EnableHMB(region)
 	ps := c.PageSize()
 
@@ -272,7 +273,7 @@ func TestFineReadCrossPageRange(t *testing.T) {
 func TestFineReadValidation(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	region := newHMB(t)
+	region := newHMB(t, nil)
 	c.EnableHMB(region)
 
 	// No pending info record.
@@ -303,7 +304,7 @@ func TestFineReadFasterThanBlockRead(t *testing.T) {
 	// block read of the same page (no full-page DMA, leaner firmware path).
 	c := newCtrl(t)
 	preload(t, c, 2)
-	region := newHMB(t)
+	region := newHMB(t, nil)
 	c.EnableHMB(region)
 
 	block := c.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 0, Pages: 1, Data: make([]byte, c.PageSize())})
@@ -404,7 +405,7 @@ func TestCMBRangeChecks(t *testing.T) {
 func TestCMBSlotRotation(t *testing.T) {
 	cfg := testConfig()
 	cfg.CMBBytes = 2 * cfg.NAND.PageSize // two slots
-	c, err := New(cfg)
+	c, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestCMBSlotRotation(t *testing.T) {
 func TestDriverIntegration(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	d := nvme.NewDriverQueues(c, 1, 32, nvme.DefaultCosts())
+	d := nvme.NewDriverQueues(c, 1, 32, nvme.DefaultCosts(), nil)
 	buf := make([]byte, c.PageSize())
 	comp, err := d.Submit(0, nvme.Command{Op: nvme.OpRead, LBA: 0, Pages: 1, Data: buf})
 	if err != nil {
@@ -443,7 +444,7 @@ func TestDriverIntegration(t *testing.T) {
 
 func BenchmarkFineRead128(b *testing.B) {
 	cfg := testConfig()
-	c, err := New(cfg)
+	c, err := New(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func BenchmarkFineRead128(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	region, err := hmb.New(hmb.DefaultConfig())
+	region, err := hmb.New(hmb.DefaultConfig(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,8 +106,8 @@ func (c *Controller) execBufferedWrite(now sim.Time, cmd *nvme.Command) nvme.Com
 			return nvme.Completion{Status: statusFor(err), Done: t}
 		}
 	}
-	if c.tr.Enabled() {
-		c.tr.Span(telemetry.TrackSSD, "write.buffer", now, t)
+	if tr := c.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackSSD, "write.buffer", now, t)
 	}
 	return nvme.Completion{Status: nvme.StatusOK, Done: t, BytesMoved: uint64(len(cmd.Data))}
 }
@@ -123,8 +123,8 @@ func (c *Controller) execFlush(now sim.Time) nvme.Completion {
 			return nvme.Completion{Status: statusFor(err), Done: t}
 		}
 	}
-	if c.tr.Enabled() {
-		c.tr.Span(telemetry.TrackSSD, "flush", now, t)
+	if tr := c.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackSSD, "flush", now, t)
 	}
 	return nvme.Completion{Status: nvme.StatusOK, Done: t}
 }

@@ -14,7 +14,7 @@ func bufferedCtrl(t testing.TB, bufPages int) *Controller {
 	t.Helper()
 	cfg := testConfig()
 	cfg.WriteBufferPages = bufPages
-	c, err := New(cfg)
+	c, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWriteBufferReadCoherence(t *testing.T) {
 		t.Fatal("block read did not see buffered write")
 	}
 	// Fine read sees it too.
-	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 16})
+	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestWriteBufferRejectsBadLBA(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.WriteBufferPages = -1
-	if _, err := New(cfg); err == nil {
+	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("negative write buffer accepted")
 	}
 }

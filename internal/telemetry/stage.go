@@ -96,9 +96,9 @@ type StageSeg struct {
 // therefore contiguous by construction and always sum exactly to the
 // end-to-end latency, including fault paths.
 //
-// All methods are nil-receiver safe, so layers hold a possibly-nil
-// *StageAccount and call it unconditionally; the disabled cost is one
-// nil check per mark site. Like the Recorder, a StageAccount belongs to
+// All methods are nil-receiver safe, so layers call Instruments.Stages
+// unconditionally, and a stack built with nil Instruments pays one nil
+// check per mark site. Like the Recorder, a StageAccount belongs to
 // one single-threaded simulated system.
 type StageAccount struct {
 	active     bool

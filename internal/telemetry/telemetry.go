@@ -6,10 +6,11 @@
 // table; and time-series sampling of counters and gauges at a configurable
 // virtual-time interval, exportable as CSV.
 //
-// Every instrumented layer holds a Tracer that defaults to Nop(), whose
-// methods are empty — the instrumented hot path costs one interface call
-// per phase when tracing is off. Heavier argument construction at call
-// sites is guarded by Enabled().
+// Every instrumented layer reads its Tracer from the stack's shared
+// Instruments (instruments.go). The tracer defaults to Nop(), whose methods
+// are empty — the instrumented hot path costs one field load and one
+// interface call per phase when tracing is off. Heavier argument
+// construction at call sites is guarded by Enabled().
 //
 // The simulator is single-threaded per system by design, so the Recorder
 // and Sampler are not safe for concurrent use, matching internal/metrics.

@@ -17,7 +17,6 @@ import (
 
 	"pipette/internal/blockdev"
 	"pipette/internal/extfs"
-	"pipette/internal/fault"
 	"pipette/internal/ftl"
 	"pipette/internal/metrics"
 	"pipette/internal/pagecache"
@@ -77,9 +76,7 @@ type VFS struct {
 	open   map[uint64]int // inode -> open descriptor count
 	router FineRouter
 	cfg    Config
-	tr     telemetry.Tracer
-	sa     *telemetry.StageAccount
-	inj    *fault.Injector
+	ins    *telemetry.Instruments
 	fltWB  telemetry.Counter
 
 	io        metrics.IO
@@ -106,8 +103,14 @@ type wbEntry struct {
 	data []byte
 }
 
-// New builds a VFS.
-func New(fs *extfs.FS, blk *blockdev.Layer, cfg Config) (*VFS, error) {
+// New builds a VFS. From ins it reads the tracer (each ReadAt/WriteAt is a
+// request scope with syscall and copy-out phases), the stage account and
+// the fault injector (vfs.writeback: a writeback command may report a
+// transient failure and be re-issued by the flusher). The VFS owns the
+// request scope: every ReadAt/WriteAt/Sync opens the account and closes it
+// at its completion time, so stage times sum exactly to each request's
+// end-to-end latency. A nil ins is all off.
+func New(fs *extfs.FS, blk *blockdev.Layer, cfg Config, ins *telemetry.Instruments) (*VFS, error) {
 	if cfg.PageCachePages < 0 {
 		return nil, errors.New("vfs: negative page cache budget")
 	}
@@ -117,7 +120,7 @@ func New(fs *extfs.FS, blk *blockdev.Layer, cfg Config) (*VFS, error) {
 		ra:   make(map[uint64]*pagecache.Readahead),
 		open: make(map[uint64]int),
 		cfg:  cfg,
-		tr:   telemetry.Nop(),
+		ins:  ins.OrOff(),
 	}
 	cache, err := pagecache.New(cfg.PageCachePages, fs.PageSize(), v.onEvict)
 	if err != nil {
@@ -137,20 +140,6 @@ func (v *VFS) onEvict(key pagecache.Key, dirty bool, data []byte) {
 // SetRouter installs the fine-grained read framework. Passing nil removes
 // it (plain block I/O).
 func (v *VFS) SetRouter(r FineRouter) { v.router = r }
-
-// SetTracer installs a tracer; each ReadAt/WriteAt becomes a request scope
-// with syscall and copy-out phases.
-func (v *VFS) SetTracer(tr telemetry.Tracer) { v.tr = telemetry.OrNop(tr) }
-
-// SetStages installs the per-request stage account. The VFS owns the
-// request scope: every ReadAt/WriteAt/Sync opens the account and closes it
-// at its completion time, so stage times sum exactly to each request's
-// end-to-end latency.
-func (v *VFS) SetStages(sa *telemetry.StageAccount) { v.sa = sa }
-
-// SetInjector arms vfs.writeback fault injection: a writeback command may
-// report a transient failure and be re-issued by the flusher.
-func (v *VFS) SetInjector(inj *fault.Injector) { v.inj = inj }
 
 // WritebackRetries reports writeback commands the flusher re-issued after
 // an injected transient failure.
@@ -277,16 +266,16 @@ func (v *VFS) readahead(ino uint64) *pagecache.Readahead {
 // virtual completion time, and io.EOF past the end.
 func (f *File) ReadAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error) {
 	v := f.v
-	v.sa.Begin(now)
-	if tr := v.tr; tr.Enabled() {
+	v.ins.Stages.Begin(now)
+	if tr := v.ins.Tracer; tr.Enabled() {
 		tr.BeginRequest(fmt.Sprintf("read %dB", len(buf)), now)
 		n, done, err := f.readAt(now, buf, off)
 		tr.EndRequest(done)
-		v.sa.Finish(done)
+		v.ins.Stages.Finish(done)
 		return n, done, err
 	}
 	n, done, err := f.readAt(now, buf, off)
-	v.sa.Finish(done)
+	v.ins.Stages.Finish(done)
 	return n, done, err
 }
 
@@ -311,11 +300,11 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 		return 0, now, eof
 	}
 	buf = buf[:n]
-	if v.tr.Enabled() {
-		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
+	if tr := v.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
 	}
 	now += v.cfg.SyscallOverhead
-	v.sa.Mark(telemetry.StageSyscall, now)
+	v.ins.Stages.Mark(telemetry.StageSyscall, now)
 	v.io.BytesRequested += uint64(n)
 
 	// Fine-grained path: consult the page cache first (§3.1.2); on a miss
@@ -323,13 +312,13 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 	// routes large reads back here).
 	if f.flags&FineGrained != 0 && v.router != nil {
 		if served, done := v.tryServeFromCache(now, f, buf, off); served {
-			if v.tr.Enabled() {
-				v.tr.Instant(telemetry.TrackPageCache, "hit", now)
+			if tr := v.ins.Tracer; tr.Enabled() {
+				tr.Instant(telemetry.TrackPageCache, "hit", now)
 			}
 			return n, v.copyOut(done), eof
 		}
-		if v.tr.Enabled() {
-			v.tr.Instant(telemetry.TrackPageCache, "miss", now)
+		if tr := v.ins.Tracer; tr.Enabled() {
+			tr.Instant(telemetry.TrackPageCache, "miss", now)
 		}
 		// A partially resident range with a dirty page must not go fine:
 		// the fine command reads flash below the cache, and a dirty
@@ -360,10 +349,10 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 // copyOut accounts the user-buffer copy that ends every successful request.
 func (v *VFS) copyOut(done sim.Time) sim.Time {
 	end := done + v.cfg.CopyOverhead
-	if v.tr.Enabled() {
-		v.tr.Span(telemetry.TrackVFS, "copyout", done, end)
+	if tr := v.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackVFS, "copyout", done, end)
 	}
-	v.sa.Mark(telemetry.StageCopyout, end)
+	v.ins.Stages.Mark(telemetry.StageCopyout, end)
 	return end
 }
 
@@ -437,8 +426,8 @@ func (v *VFS) blockRead(now sim.Time, f *File, buf []byte, off int64) (sim.Time,
 			v.copyFromPage(f, buf, off, p, data, dirty)
 			continue
 		}
-		if v.tr.Enabled() {
-			v.tr.Instant(telemetry.TrackPageCache, "miss", now)
+		if tr := v.ins.Tracer; tr.Enabled() {
+			tr.Instant(telemetry.TrackPageCache, "miss", now)
 		}
 		// Miss: read-ahead decides the fetch window.
 		count := ra.OnMiss(p)

@@ -21,19 +21,19 @@ func testVFS(t testing.TB, cachePages int) *VFS {
 	cfg.NAND.PlanesPerDie = 1
 	cfg.NAND.BlocksPerPlane = 32
 	cfg.NAND.PagesPerBlock = 32
-	ctrl, err := ssd.New(cfg)
+	ctrl, err := ssd.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts())
-	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
+	drv := nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts(), nil)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := extfs.New(ctrl)
 	vcfg := DefaultConfig()
 	vcfg.PageCachePages = cachePages
-	v, err := New(fs, blk, vcfg)
+	v, err := New(fs, blk, vcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,16 @@ import (
 // page cache or the post-flush flash content.
 func (f *File) WriteAt(now sim.Time, data []byte, off int64) (int, sim.Time, error) {
 	v := f.v
-	v.sa.Begin(now)
-	if tr := v.tr; tr.Enabled() {
+	v.ins.Stages.Begin(now)
+	if tr := v.ins.Tracer; tr.Enabled() {
 		tr.BeginRequest(fmt.Sprintf("write %dB", len(data)), now)
 		n, done, err := f.writeAt(now, data, off)
 		tr.EndRequest(done)
-		v.sa.Finish(done)
+		v.ins.Stages.Finish(done)
 		return n, done, err
 	}
 	n, done, err := f.writeAt(now, data, off)
-	v.sa.Finish(done)
+	v.ins.Stages.Finish(done)
 	return n, done, err
 }
 
@@ -50,11 +50,11 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 	if len(data) == 0 {
 		return 0, now, nil
 	}
-	if v.tr.Enabled() {
-		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
+	if tr := v.ins.Tracer; tr.Enabled() {
+		tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
 	}
 	now += v.cfg.SyscallOverhead
-	v.sa.Mark(telemetry.StageSyscall, now)
+	v.ins.Stages.Mark(telemetry.StageSyscall, now)
 	ps := int64(v.fs.PageSize())
 	first := uint64(off / ps)
 	last := uint64((off + int64(len(data)) - 1) / ps)
@@ -150,7 +150,7 @@ func (f *File) Sync(now sim.Time) (sim.Time, error) {
 	if f.closed {
 		return now, ErrClosed
 	}
-	v.sa.Begin(now)
+	v.ins.Stages.Begin(now)
 	done := now
 	err := v.cache.FlushDirtySelect(
 		func(k pagecache.Key) bool { return k.File == f.inode.Ino },
@@ -163,15 +163,15 @@ func (f *File) Sync(now sim.Time) (sim.Time, error) {
 			done = t
 			return nil
 		})
-	v.sa.Reattribute(now, telemetry.StageWriteback)
-	v.sa.Mark(telemetry.StageWriteback, done)
-	v.sa.Finish(done)
+	v.ins.Stages.Reattribute(now, telemetry.StageWriteback)
+	v.ins.Stages.Mark(telemetry.StageWriteback, done)
+	v.ins.Stages.Finish(done)
 	return done, err
 }
 
 // SyncAll flushes every dirty page of every file — syncfs(2).
 func (v *VFS) SyncAll(now sim.Time) (sim.Time, error) {
-	v.sa.Begin(now)
+	v.ins.Stages.Begin(now)
 	done := now
 	err := v.cache.FlushDirty(func(k pagecache.Key, data []byte) error {
 		t, err := v.writebackPage(done, k, data)
@@ -182,9 +182,9 @@ func (v *VFS) SyncAll(now sim.Time) (sim.Time, error) {
 		done = t
 		return nil
 	})
-	v.sa.Reattribute(now, telemetry.StageWriteback)
-	v.sa.Mark(telemetry.StageWriteback, done)
-	v.sa.Finish(done)
+	v.ins.Stages.Reattribute(now, telemetry.StageWriteback)
+	v.ins.Stages.Mark(telemetry.StageWriteback, done)
+	v.ins.Stages.Finish(done)
 	return done, err
 }
 
@@ -202,7 +202,7 @@ func (v *VFS) writebackPage(now sim.Time, key pagecache.Key, data []byte) (sim.T
 	if err != nil {
 		return done, err
 	}
-	if out := v.inj.Check(fault.SiteVFSWriteback, lba); out.Hit {
+	if out := v.ins.Injector.Check(fault.SiteVFSWriteback, lba); out.Hit {
 		// Transient writeback failure: the flusher re-issues the command
 		// from the failed attempt's completion time.
 		v.fltWB.Inc()
@@ -240,8 +240,8 @@ func (v *VFS) drainWriteback(now sim.Time) (sim.Time, error) {
 	// suspend stage attribution so their completion marks don't leak into
 	// the request's account (their device occupancy still lands on the
 	// resource timelines).
-	v.sa.Suspend()
-	defer v.sa.Resume()
+	v.ins.Stages.Suspend()
+	defer v.ins.Stages.Resume()
 	for len(v.pendingWB) > 0 {
 		pending := v.pendingWB
 		v.pendingWB = nil

@@ -149,8 +149,9 @@ func New(opts Options) (*System, error) {
 }
 
 // SetTracer installs a tracer on every layer of the system: VFS, block
-// layer, NVMe driver, SSD controller (cascading to FTL and NAND), and the
-// fine-grained read framework. Pass nil to return to the no-op default.
+// layer, NVMe driver, SSD controller, FTL, NAND array and the fine-grained
+// read framework all read it from the stack's shared instruments. Pass nil
+// to return to the no-op default.
 func (s *System) SetTracer(tr telemetry.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,9 +285,9 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 
 	// Per-request stage attribution (atomic mirrors, scraped lock-free) and
 	// per-resource occupancy (scrape-time reads under the system lock).
-	s.st.SA.BindRegistry(reg)
-	for i := 0; i < s.st.Res.Len(); i++ {
-		tl := s.st.Res.At(i)
+	s.st.Stages().BindRegistry(reg)
+	for i := 0; i < s.st.Resources().Len(); i++ {
+		tl := s.st.Resources().At(i)
 		reg.GaugeFunc("pipette_resource_utilization",
 			"busy fraction of elapsed virtual time per hardware resource",
 			lockedF(func() float64 { return tl.Utilization(s.clock.Now()) }),
@@ -301,12 +302,12 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 // Stages exposes the per-request stage account. Readers must not race
 // in-flight I/O: snapshot between requests or under an idle system.
 func (s *System) Stages() *telemetry.StageAccount {
-	return s.st.SA
+	return s.st.Stages()
 }
 
 // Resources exposes the resource-occupancy tracker, same caveat as Stages.
 func (s *System) Resources() *resource.Tracker {
-	return s.st.Res
+	return s.st.Resources()
 }
 
 // CreateFile makes a fixed-size file. preload fills it with deterministic
@@ -475,8 +476,8 @@ func (s *System) Report() Report {
 		FineCacheMemoryBytes: s.st.Core.MemoryBytes(),
 		Threshold:            s.st.Core.Threshold(),
 		Core:                 s.st.Core.Stats(),
-		Stages:               s.st.SA.Snapshot(),
-		Resources:            s.st.Res.Snapshot(s.clock.Now()),
+		Stages:               s.st.Stages().Snapshot(),
+		Resources:            s.st.Resources().Snapshot(s.clock.Now()),
 	}
 	if s.st.Armed() {
 		f := s.st.Faults()
