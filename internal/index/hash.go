@@ -30,6 +30,10 @@ func (h *hashEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
 	return now, nil
 }
 
+func (h *hashEngine) Repoint(now sim.Time, ups []Update) (sim.Time, error) {
+	return insertEach(h, now, ups)
+}
+
 func (h *hashEngine) Delete(now sim.Time, key string) (sim.Time, error) {
 	h.stats.Deletes++
 	if _, ok := h.m[key]; !ok {

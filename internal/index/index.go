@@ -41,6 +41,24 @@ type Loc struct {
 	ValLen uint32
 }
 
+// Update is one key's new location, for Repoint.
+type Update struct {
+	Key string
+	Loc Loc
+}
+
+// insertEach is Repoint for engines with nothing to batch: one Insert per
+// update.
+func insertEach(e Engine, now sim.Time, ups []Update) (sim.Time, error) {
+	var err error
+	for _, u := range ups {
+		if now, err = e.Insert(now, u.Key, u.Loc); err != nil {
+			return now, err
+		}
+	}
+	return now, nil
+}
+
 // Kind names an index engine.
 type Kind string
 
@@ -217,6 +235,10 @@ type Engine interface {
 	Kind() Kind
 	// Insert records key -> l, superseding any earlier entry.
 	Insert(now sim.Time, key string, l Loc) (sim.Time, error)
+	// Repoint records every update as Insert would, in turn. The keys must
+	// ascend, which lets an engine batch updates that land in the same
+	// place (the btree reads and writes each leaf once).
+	Repoint(now sim.Time, ups []Update) (sim.Time, error)
 	// Delete removes key (a no-op if absent — the store has already decided
 	// the delete is valid against its accounting).
 	Delete(now sim.Time, key string) (sim.Time, error)

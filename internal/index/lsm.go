@@ -82,6 +82,10 @@ func (e *lsmEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
 	return e.maybeFlush(now)
 }
 
+func (e *lsmEngine) Repoint(now sim.Time, ups []Update) (sim.Time, error) {
+	return insertEach(e, now, ups)
+}
+
 func (e *lsmEngine) Delete(now sim.Time, key string) (sim.Time, error) {
 	e.stats.Deletes++
 	e.mem.set(key, Loc{}, true)

@@ -123,6 +123,14 @@ type Store struct {
 	stats   Stats
 	tr      telemetry.Tracer
 	scratch []byte
+
+	// Compaction state, reused across rounds: the victim's read window,
+	// the pending run of re-appended records (written at runOff of the
+	// active segment), and the index updates for the moved records.
+	rd     chunkReader
+	run    []byte
+	runOff int64
+	ups    []index.Update
 }
 
 // Open starts a store over be, replaying any existing segments under

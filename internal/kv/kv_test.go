@@ -18,6 +18,12 @@ import (
 // installs the Pipette fine-read engine so O_FINE_GRAINED handles work.
 func testBackend(t testing.TB, fine bool) Backend {
 	t.Helper()
+	return testBackendCache(t, fine, 64)
+}
+
+// testBackendCache is testBackend with a page cache of the given pages.
+func testBackendCache(t testing.TB, fine bool, pages int) Backend {
+	t.Helper()
 	cfg := ssd.DefaultConfig()
 	cfg.NAND.Channels = 2
 	cfg.NAND.WaysPerChannel = 2
@@ -35,7 +41,7 @@ func testBackend(t testing.TB, fine bool) Backend {
 	}
 	fs := extfs.New(ctrl)
 	vcfg := vfs.DefaultConfig()
-	vcfg.PageCachePages = 64
+	vcfg.PageCachePages = pages
 	v, err := vfs.New(fs, blk, vcfg, nil)
 	if err != nil {
 		t.Fatal(err)

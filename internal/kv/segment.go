@@ -109,6 +109,9 @@ type segment struct {
 	tail int64       // append offset
 	live int64       // bytes of records the index points at
 	dead int64       // superseded records and tombstones
+	// damaged marks a segment whose compaction found a record failing
+	// verification; it is never picked as a victim again.
+	damaged bool
 }
 
 func (sg *segment) deadFrac() float64 {
