@@ -40,7 +40,8 @@ type Engine interface {
 	ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error)
 	WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error)
 	// Snapshot reports traffic and cache statistics accumulated so far
-	// (ops/latency/elapsed are filled by the runner).
+	// (ops and elapsed are filled by the runner; latency lives in the
+	// runner's histogram).
 	Snapshot() metrics.Snapshot
 	// Oracle fills buf with the authoritative current content at off —
 	// cache-consistent for engines with caches — used by the harness to

@@ -99,7 +99,7 @@ func RunAblation(s Scale, p *Pool) (*metrics.Table, error) {
 			fmt.Sprintf("%.0f", snap.ThroughputOpsPerSec()),
 			fmt.Sprintf("%.1f", snap.IO.TrafficMB()),
 			fmt.Sprintf("%.1f", snap.FineCache.HitRatio()*100),
-			fmt.Sprintf("%.1f", snap.MeanLat.Micros()),
+			fmt.Sprintf("%.1f", outs[vi].res.Hist.Mean().Micros()),
 			fmt.Sprintf("%d", outs[vi].finalT),
 		)
 	}

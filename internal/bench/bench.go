@@ -325,40 +325,61 @@ func tailKeep(requests int) int {
 	return tailTopK
 }
 
+// replayBufs holds one replay's read buffer, oracle scratch and write
+// payload, grown to fit the largest request seen.
+type replayBufs struct{ buf, want, payload []byte }
+
+func newReplayBufs() *replayBufs {
+	b := &replayBufs{buf: make([]byte, 4096), want: make([]byte, 4096), payload: make([]byte, 4096)}
+	for i := range b.payload {
+		b.payload[i] = byte(i*7 + 13)
+	}
+	return b
+}
+
+// grow doubles the buffers until they hold n bytes; the payload doubles by
+// repeating itself, so write contents stay deterministic.
+func (b *replayBufs) grow(n int) {
+	for n > len(b.buf) {
+		b.buf = make([]byte, 2*len(b.buf))
+		b.want = make([]byte, len(b.buf))
+	}
+	for n > len(b.payload) {
+		b.payload = append(b.payload, b.payload...)
+	}
+}
+
+// serve issues req against e at now and returns its completion time.
+func (b *replayBufs) serve(e baseline.Engine, now sim.Time, req workload.Request) (sim.Time, error) {
+	b.grow(req.Size)
+	if req.Write {
+		return e.WriteAt(now, b.payload[:req.Size], req.Off)
+	}
+	return e.ReadAt(now, b.buf[:req.Size], req.Off)
+}
+
+// measured is a replay's measured window: cur's traffic and cache counters
+// minus base, the snapshot taken when measurement began, with the window's
+// op count and virtual duration.
+func measured(cur, base metrics.Snapshot, ops uint64, elapsed sim.Time) metrics.Snapshot {
+	subIO(&cur.IO, base.IO)
+	subCache(&cur.PageCache, base.PageCache)
+	subCache(&cur.FineCache, base.FineCache)
+	cur.Ops = ops
+	cur.Elapsed = elapsed
+	return cur
+}
+
 // Run replays requests from gen against e and measures the paper's
 // metrics. Write requests carry a deterministic payload.
 func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) (*Result, error) {
 	var now sim.Time
-	buf := make([]byte, 4096)
-	want := make([]byte, 4096) // oracle scratch, grown with buf
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i*7 + 13)
-	}
-	grow := func(n int) {
-		for n > len(buf) {
-			buf = make([]byte, 2*len(buf))
-			want = make([]byte, len(buf))
-		}
-		for n > len(payload) {
-			old := payload
-			payload = make([]byte, 2*len(payload))
-			copy(payload, old)
-			copy(payload[len(old):], old)
-		}
-	}
+	b := newReplayBufs()
 
 	// Warmup phase: replay without measuring.
 	for i := 0; i < opts.Warmup; i++ {
-		req := gen.Next()
-		grow(req.Size)
 		var err error
-		if req.Write {
-			now, err = e.WriteAt(now, payload[:req.Size], req.Off)
-		} else {
-			now, err = e.ReadAt(now, buf[:req.Size], req.Off)
-		}
-		if err != nil {
+		if now, err = b.serve(e, now, gen.Next()); err != nil {
 			if opts.TolerateMediaErrors && errors.Is(err, nvme.ErrUncorrectable) {
 				continue
 			}
@@ -379,30 +400,24 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 	res := &Result{}
 	for i := 0; i < requests; i++ {
 		req := gen.Next()
-		grow(req.Size)
 		before := now
 		var err error
-		if req.Write {
-			now, err = e.WriteAt(now, payload[:req.Size], req.Off)
-		} else {
-			now, err = e.ReadAt(now, buf[:req.Size], req.Off)
-			if err == nil && opts.VerifyEvery > 0 && i%opts.VerifyEvery == 0 {
-				want := want[:req.Size]
-				if oerr := e.Oracle(want, req.Off); oerr != nil {
-					return nil, oerr
-				}
-				if !bytes.Equal(buf[:req.Size], want) {
-					return nil, fmt.Errorf("bench: %s returned wrong bytes at %d (+%d)",
-						e.Name(), req.Off, req.Size)
-				}
-			}
-		}
-		if err != nil {
+		if now, err = b.serve(e, now, req); err != nil {
 			if opts.TolerateMediaErrors && errors.Is(err, nvme.ErrUncorrectable) {
 				res.Lost++ // the failed request still consumed virtual time
 				continue
 			}
 			return nil, fmt.Errorf("bench: request %d (%+v): %w", i, req, err)
+		}
+		if !req.Write && opts.VerifyEvery > 0 && i%opts.VerifyEvery == 0 {
+			want := b.want[:req.Size]
+			if err := e.Oracle(want, req.Off); err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(b.buf[:req.Size], want) {
+				return nil, fmt.Errorf("bench: %s returned wrong bytes at %d (+%d)",
+					e.Name(), req.Off, req.Size)
+			}
 		}
 		res.Hist.Observe(now - before)
 		grid.Observe(now, now-before)
@@ -415,16 +430,7 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 	res.Heat = grid.Snapshot()
 	res.Stages = e.Stages().Snapshot()
 	res.Resources = e.Resources().Snapshot(now)
-	snap := e.Snapshot()
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(requests) - res.Lost
-	snap.Elapsed = now - start
-	snap.MeanLat = res.Hist.Mean()
-	snap.P99Lat = res.Hist.Quantile(0.99)
-	snap.MaxLat = res.Hist.Max()
-	res.Snapshot = snap
+	res.Snapshot = measured(e.Snapshot(), base, uint64(requests)-res.Lost, now-start)
 	return res, nil
 }
 

@@ -107,7 +107,7 @@ func TestLatencySweepShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mean := func(engine string, size int) float64 {
-		return res[engine][size].Snapshot.MeanLat.Micros()
+		return res[engine][size].Hist.Mean().Micros()
 	}
 	// Paper Figure 8: Pipette ~2 us flat; MMIO grows with size; the others
 	// are roughly flat; DMA slower than Pipette w/o cache by the mapping

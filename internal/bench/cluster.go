@@ -228,10 +228,7 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 	slot.shards = make([]report.ShardSummary, cfg.Shards)
 	for i, ss := range cres.Shards {
 		sh := c.Shard(i)
-		shSnap := sh.Snapshot()
-		subIO(&shSnap.IO, base[i].IO)
-		subCache(&shSnap.PageCache, base[i].PageCache)
-		subCache(&shSnap.FineCache, base[i].FineCache)
+		shSnap := measured(sh.Snapshot(), base[i], 0, 0)
 		addIO(&snap.IO, shSnap.IO)
 		addCache(&snap.PageCache, shSnap.PageCache)
 		addCache(&snap.FineCache, shSnap.FineCache)
@@ -262,9 +259,6 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 	}
 	snap.Ops = cres.Hist.Count()
 	snap.Elapsed = cres.Elapsed
-	snap.MeanLat = cres.Hist.Mean()
-	snap.P99Lat = cres.Hist.Quantile(0.99)
-	snap.MaxLat = cres.Hist.Max()
 	res.Snapshot = snap
 	slot.res = res
 	return slot, nil
@@ -363,9 +357,9 @@ func WriteCluster(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error)
 }
 
 func renderClusterTable(w io.Writer, s Scale, points []clusterPoint, slots []*clusterSlot) {
-	t := &simpleTable{header: []string{
+	t := &metrics.Table{Rows: [][]string{{
 		"skew", "R", "mode", "policy", "offered/s", "goodput/s",
-		"p50(us)", "p99(us)", "rejected", "throttled", "lost", "hot%", "hedges", "failovers"}}
+		"p50(us)", "p99(us)", "rejected", "throttled", "lost", "hot%", "hedges", "failovers"}}}
 	for i, pt := range points {
 		sl := slots[i]
 		if sl == nil {
@@ -376,7 +370,7 @@ func renderClusterTable(w io.Writer, s Scale, points []clusterPoint, slots []*cl
 			hedges += ss.Hedges
 			failovers += ss.Failovers
 		}
-		t.addRow(
+		t.AddRow(
 			fmt.Sprintf("%.2f", pt.skew),
 			fmt.Sprintf("%d", pt.replicas),
 			pt.mode(),
@@ -393,7 +387,7 @@ func renderClusterTable(w io.Writer, s Scale, points []clusterPoint, slots []*cl
 			fmt.Sprintf("%d", failovers),
 		)
 	}
-	io.WriteString(w, t.render())
+	io.WriteString(w, t.Render())
 }
 
 // renderClusterShards prints the per-shard ledgers for the highest-skew,
@@ -418,9 +412,9 @@ func renderClusterShards(w io.Writer, s Scale, points []clusterPoint, slots []*c
 			continue
 		}
 		fmt.Fprintf(w, "per-shard ledger (skew=%.2f, R=%d, %s):\n", pt.skew, pt.replicas, pt.mode())
-		t := &simpleTable{header: []string{
+		t := &metrics.Table{Rows: [][]string{{
 			"shard", "primary", "share%", "execs", "repl.writes",
-			"hedges", "failovers", "rejected", "media.err", "util%"}}
+			"hedges", "failovers", "rejected", "media.err", "util%"}}}
 		var total uint64
 		for _, ss := range sl.shards {
 			total += ss.Primary
@@ -434,7 +428,7 @@ func renderClusterShards(w io.Writer, s Scale, points []clusterPoint, slots []*c
 			if total > 0 {
 				share = 100 * float64(ss.Primary) / float64(total)
 			}
-			t.addRow(
+			t.AddRow(
 				name,
 				fmt.Sprintf("%d", ss.Primary),
 				fmt.Sprintf("%.1f", share),
@@ -447,7 +441,7 @@ func renderClusterShards(w io.Writer, s Scale, points []clusterPoint, slots []*c
 				fmt.Sprintf("%.1f", 100*ss.Utilization),
 			)
 		}
-		io.WriteString(w, t.render())
+		io.WriteString(w, t.Render())
 		fmt.Fprintln(w, "  (* = fault profile armed)")
 	}
 }

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 
 	"pipette/internal/baseline"
 	"pipette/internal/fault"
 	"pipette/internal/metrics"
-	"pipette/internal/nvme"
 	"pipette/internal/sim"
 	"pipette/internal/workload"
 )
@@ -59,101 +56,26 @@ func (m *writeMixer) Next() workload.Request {
 }
 
 // FaultResult is one (mix, level, engine) cell: the usual measurement over
-// the surviving requests, plus the reads lost to uncorrectable media errors
-// and the stack's injection/recovery counters.
+// the surviving requests (Lost counts those that surfaced an uncorrectable
+// media error), plus the stack's injection/recovery counters.
 type FaultResult struct {
 	Result
-	Failed uint64 // requests that surfaced an uncorrectable media error
 	Report fault.Report
 }
 
-// syncer is the fsync surface every baseline engine provides; the faulted
-// replay syncs after each write so the flash-content oracle stays
-// authoritative (and the writeback fault site sees traffic).
-type syncer interface {
-	Sync(now sim.Time) (sim.Time, error)
-}
+// fsyncEach syncs after every write: the oracle compares against flash, so
+// dirty pages must not outlive the request that made them, and the
+// writeback fault site sees traffic.
+type fsyncEach struct{ baseline.Engine }
 
-// runFaulted replays the workload like Run, but tolerates uncorrectable
-// read errors (they are the experiment's subject, counted as Failed) and
-// oracle-verifies every surviving read — an injected fault may slow a read
-// or fail it, never silently change its bytes.
-func runFaulted(e baseline.Engine, gen workload.Generator, requests int) (*FaultResult, error) {
-	var now sim.Time
-	buf := make([]byte, 4096)
-	want := make([]byte, 4096)
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i*7 + 13)
+func (f fsyncEach) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
+	now, err := f.Engine.WriteAt(now, data, off)
+	if err != nil {
+		return now, err
 	}
-	grow := func(n int) {
-		for n > len(buf) {
-			buf = make([]byte, 2*len(buf))
-			want = make([]byte, len(buf))
-		}
-		for n > len(payload) {
-			old := payload
-			payload = make([]byte, 2*len(payload))
-			copy(payload, old)
-			copy(payload[len(old):], old)
-		}
-	}
-
-	base := e.Snapshot()
-	start := now
-	fr := &FaultResult{}
-	var ok uint64
-	for i := 0; i < requests; i++ {
-		req := gen.Next()
-		grow(req.Size)
-		before := now
-		var err error
-		if req.Write {
-			now, err = e.WriteAt(now, payload[:req.Size], req.Off)
-			if err == nil {
-				// Write-fsync cycle: the oracle compares against flash, so
-				// dirty pages must not outlive the request that made them.
-				now, err = e.(syncer).Sync(now)
-			}
-		} else {
-			now, err = e.ReadAt(now, buf[:req.Size], req.Off)
-		}
-		if err != nil {
-			// Uncorrectable media errors are the experiment's subject: a
-			// failed read, or a sub-page write whose read-modify-write hit
-			// an unrecoverable page. Anything else is a harness bug.
-			if !errors.Is(err, nvme.ErrUncorrectable) {
-				return nil, fmt.Errorf("bench: faulted request %d (%+v): %w", i, req, err)
-			}
-			fr.Failed++
-			continue
-		}
-		if !req.Write {
-			want := want[:req.Size]
-			if oerr := e.Oracle(want, req.Off); oerr != nil {
-				return nil, oerr
-			}
-			if !bytes.Equal(buf[:req.Size], want) {
-				return nil, fmt.Errorf("bench: %s returned wrong bytes at %d (+%d) under faults",
-					e.Name(), req.Off, req.Size)
-			}
-		}
-		ok++
-		fr.Hist.Observe(now - before)
-	}
-
-	snap := e.Snapshot()
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = ok // goodput: only surviving requests count
-	snap.Elapsed = now - start
-	snap.MeanLat = fr.Hist.Mean()
-	snap.P99Lat = fr.Hist.Quantile(0.99)
-	snap.MaxLat = fr.Hist.Max()
-	fr.Snapshot = snap
-	fr.Report = e.Faults()
-	return fr, nil
+	return f.Engine.(interface {
+		Sync(sim.Time) (sim.Time, error)
+	}).Sync(now)
 }
 
 // RunFaults executes the faults grid: mixes C and E (uniform) × FaultLevels
@@ -191,10 +113,14 @@ func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult,
 						if err != nil {
 							return nil, err
 						}
-						fr, err := runFaulted(e, &writeMixer{inner: gen, k: faultWriteEvery}, s.Requests)
+						// Every surviving read is verified: an injected fault
+						// may slow a read or fail it, never change its bytes.
+						res, err := Run(fsyncEach{e}, &writeMixer{inner: gen, k: faultWriteEvery}, s.Requests,
+							RunOpts{VerifyEvery: 1, TolerateMediaErrors: true})
 						if err != nil {
 							return nil, err
 						}
+						fr := &FaultResult{Result: *res, Report: e.Faults()}
 						*slot = fr
 						p.Live().AddFaults(fr.Report)
 						return &fr.Result, nil
@@ -243,7 +169,7 @@ func writeFaults(w io.Writer, s Scale, p *Pool) error {
 				r := fr.Report
 				t.AddRow(lv.Name, name,
 					fmt.Sprintf("%.1f", fr.Snapshot.ThroughputOpsPerSec()/1000),
-					fmt.Sprintf("%d", fr.Failed),
+					fmt.Sprintf("%d", fr.Lost),
 					fmt.Sprintf("%d", r.Injected),
 					fmt.Sprintf("%d", r.ECCRetries),
 					fmt.Sprintf("%d", r.Uncorrectable),

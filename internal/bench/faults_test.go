@@ -29,8 +29,8 @@ func TestFaultsDeterminism(t *testing.T) {
 
 // TestFaultsRecoveryCounters pins the sweep's semantics at tiny scale: the
 // control level injects nothing, and under injection every fault channel
-// the sweep exercises shows recovery activity while every surviving read
-// verified against the oracle inside runFaulted.
+// the sweep exercises shows recovery activity, while Run verified every
+// surviving read against the oracle.
 func TestFaultsRecoveryCounters(t *testing.T) {
 	s := TinyScale()
 	res, err := RunFaults(s, nil)
@@ -39,9 +39,9 @@ func TestFaultsRecoveryCounters(t *testing.T) {
 	}
 	for _, mix := range []string{"C", "E"} {
 		for name, fr := range res[mix]["none"] {
-			if fr.Failed != 0 || fr.Report.Injected != 0 {
-				t.Errorf("mix %s %s: control level injected %d, failed %d",
-					mix, name, fr.Report.Injected, fr.Failed)
+			if fr.Lost != 0 || fr.Report.Injected != 0 {
+				t.Errorf("mix %s %s: control level injected %d, lost %d",
+					mix, name, fr.Report.Injected, fr.Lost)
 			}
 		}
 		blk := res[mix]["high"]["Block I/O"]
@@ -54,6 +54,34 @@ func TestFaultsRecoveryCounters(t *testing.T) {
 		}
 		if blk.Report.ProgramRetries == 0 || blk.Report.WritebackRetries == 0 {
 			t.Errorf("mix %s block: write-side sites silent: %+v", mix, blk.Report)
+		}
+	}
+}
+
+// TestFaultsCellsMeasuredLikeEveryCell holds every faults cell to the
+// measurement every other cell meets: stage attribution conserves (a
+// failed request's stages end where its latency does), the resource and
+// tail captures are present, and goodput plus lost covers every request.
+func TestFaultsCellsMeasuredLikeEveryCell(t *testing.T) {
+	s := TinyScale()
+	res, err := RunFaults(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mix, levels := range res {
+		for level, engines := range levels {
+			for name, fr := range engines {
+				cell := mix + "/" + level + "/" + name
+				if fr.Stages.Sum() != fr.Stages.Elapsed {
+					t.Errorf("%s: stage sum %d ns != elapsed %d ns", cell, int64(fr.Stages.Sum()), int64(fr.Stages.Elapsed))
+				}
+				if fr.Resources == nil || fr.Tail == nil {
+					t.Errorf("%s: missing resource or tail capture", cell)
+				}
+				if got := fr.Snapshot.Ops + fr.Lost; got != uint64(s.Requests) {
+					t.Errorf("%s: ops %d + lost %d != %d requests", cell, fr.Snapshot.Ops, fr.Lost, s.Requests)
+				}
+			}
 		}
 	}
 }

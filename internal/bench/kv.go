@@ -12,7 +12,6 @@ import (
 	"pipette/internal/kv"
 	"pipette/internal/metrics"
 	"pipette/internal/report"
-	"pipette/internal/resource"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
@@ -145,19 +144,16 @@ func kvIndexConfig(s Scale, kind index.Kind) index.Config {
 
 // kvCellResult is one (workload, engine, index) measurement.
 type kvCellResult struct {
-	snap      metrics.Snapshot
-	hist      metrics.Histogram
-	stages    telemetry.StageSnapshot
-	resources *resource.Snapshot
-	store     kv.Stats
-	segs      int
-	keys      int
+	Result // the cell measurement handed to the pool and the export
+
+	store kv.Stats
+	segs  int
+	keys  int
 
 	kind     index.Kind
 	idx      index.Stats       // engine counters since open: load + workload + probes
 	negHist  metrics.Histogram // latency of the absent-key probes
 	negBytes uint64            // device bytes moved by the probes (read amp)
-	bres     *Result           // the cell measurement handed to the pool/export
 }
 
 // runKVCell loads the store and replays one YCSB workload over one
@@ -256,7 +252,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 			}
 		}
 		st.Stages().Finish(now)
-		res.hist.Observe(now - before)
+		res.Hist.Observe(now - before)
 		if i%kvTickEvery == kvTickEvery-1 {
 			if _, now, err = store.MaintenanceTick(now); err != nil {
 				return nil, fmt.Errorf("bench: kv %s compaction: %w", wl, err)
@@ -264,17 +260,9 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		}
 	}
 
-	snap := st.Snapshot("")
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(ops)
-	snap.Elapsed = now - start
-	snap.MeanLat = res.hist.Mean()
-	snap.P99Lat = res.hist.Quantile(0.99)
-	res.snap = snap
-	res.stages = st.Stages().Snapshot()
-	res.resources = st.Resources().Snapshot(now)
+	res.Snapshot = measured(st.Snapshot(""), base, uint64(ops), now-start)
+	res.Stages = st.Stages().Snapshot()
+	res.Resources = st.Resources().Snapshot(now)
 	res.store = store.Stats()
 	res.store.Puts -= baseKV.Puts
 	res.store.Gets -= baseKV.Gets
@@ -332,8 +320,7 @@ func RunKV(s Scale, p *Pool) ([][][]*kvCellResult, error) {
 						// Returning the measurement (rather than nil) feeds the
 						// cell's deterministic throughput/read-amp/latency into
 						// the -json summary and the regression gate.
-						r.bres = &Result{Snapshot: r.snap, Hist: r.hist, Stages: r.stages, Resources: r.resources}
-						return r.bres, nil
+						return &r.Result, nil
 					},
 				})
 			}
@@ -392,11 +379,11 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 				for ki := range kvIndexKinds {
 					for ei, name := range kvEngines {
 						r := grid[wi][ei][ki]
-						if r == nil || r.bres == nil {
+						if r == nil {
 							continue
 						}
 						run := ExportRun(fmt.Sprintf("%s/%s", name, kvIndexKinds[ki]),
-							"YCSB-"+kvWorkloads[wi], r.bres)
+							"YCSB-"+kvWorkloads[wi], &r.Result)
 						run.Index = kvIndexSummary(r)
 						exp.Runs = append(exp.Runs, run)
 					}
@@ -423,13 +410,13 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 				r := grid[wi][ei][ki]
 				t.AddRow(
 					"YCSB-"+wl, string(kind), name,
-					fmt.Sprintf("%.1f", r.snap.ThroughputOpsPerSec()/1e3),
-					fmt.Sprintf("%.1f", r.snap.MeanLat.Micros()),
-					fmt.Sprintf("%.1f", r.snap.P99Lat.Micros()),
-					fmt.Sprintf("%.2f", r.snap.IO.ReadAmplification()),
-					fmt.Sprintf("%.1f", r.snap.PageCache.HitRatio()*100),
-					fmt.Sprintf("%.1f", r.snap.IO.TrafficMB()),
-					fmt.Sprintf("%.1f", float64(r.snap.IO.BytesWritten)/(1<<20)),
+					fmt.Sprintf("%.1f", r.Snapshot.ThroughputOpsPerSec()/1e3),
+					fmt.Sprintf("%.1f", r.Hist.Mean().Micros()),
+					fmt.Sprintf("%.1f", r.Hist.Quantile(0.99).Micros()),
+					fmt.Sprintf("%.2f", r.Snapshot.IO.ReadAmplification()),
+					fmt.Sprintf("%.1f", r.Snapshot.PageCache.HitRatio()*100),
+					fmt.Sprintf("%.1f", r.Snapshot.IO.TrafficMB()),
+					fmt.Sprintf("%.1f", float64(r.Snapshot.IO.BytesWritten)/(1<<20)),
 				)
 			}
 		}

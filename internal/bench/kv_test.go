@@ -42,30 +42,30 @@ func TestKVExperimentShapes(t *testing.T) {
 		if blk.keys != pip.keys {
 			t.Errorf("YCSB-%s: engines diverge on final key count: %d vs %d", wl, blk.keys, pip.keys)
 		}
-		if blk.snap.Ops == 0 || pip.snap.Ops == 0 {
+		if blk.Snapshot.Ops == 0 || pip.Snapshot.Ops == 0 {
 			t.Fatalf("YCSB-%s: no measured ops", wl)
 		}
 		if wl == "A" || wl == "B" || wl == "C" {
-			if pip.snap.IO.FineReads == 0 {
+			if pip.Snapshot.IO.FineReads == 0 {
 				t.Errorf("YCSB-%s: Pipette engine served no fine reads", wl)
 			}
-			if pa, ba := pip.snap.IO.ReadAmplification(), blk.snap.IO.ReadAmplification(); pa >= ba {
+			if pa, ba := pip.Snapshot.IO.ReadAmplification(), blk.Snapshot.IO.ReadAmplification(); pa >= ba {
 				t.Errorf("YCSB-%s: Pipette read amp %.2f not below block I/O %.2f", wl, pa, ba)
 			}
 		}
-		if blk.snap.IO.FineReads != 0 {
+		if blk.Snapshot.IO.FineReads != 0 {
 			t.Errorf("YCSB-%s: block engine reports fine reads", wl)
 		}
 		// The measured window's stage attribution must conserve for both
 		// engines — mutation paths (Put, compaction) included.
 		for ei, r := range []*kvCellResult{blk, pip} {
-			if r.stages.Requests == 0 {
+			if r.Stages.Requests == 0 {
 				t.Fatalf("YCSB-%s/%s: no stage-accounted ops", wl, kvEngines[ei])
 			}
-			if r.stages.Sum() != r.stages.Elapsed {
-				t.Errorf("YCSB-%s/%s: stage sum %v != elapsed %v", wl, kvEngines[ei], r.stages.Sum(), r.stages.Elapsed)
+			if r.Stages.Sum() != r.Stages.Elapsed {
+				t.Errorf("YCSB-%s/%s: stage sum %v != elapsed %v", wl, kvEngines[ei], r.Stages.Sum(), r.Stages.Elapsed)
 			}
-			if r.resources == nil {
+			if r.Resources == nil {
 				t.Fatalf("YCSB-%s/%s: no resource snapshot", wl, kvEngines[ei])
 			}
 		}

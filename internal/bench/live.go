@@ -25,25 +25,25 @@ import (
 type Live struct {
 	reg *telemetry.Registry
 
-	cellsDone *telemetry.LiveCounter
-	opsDone   *telemetry.LiveCounter
+	cellsDone *telemetry.Counter
+	opsDone   *telemetry.Counter
 	cellWall  *telemetry.LiveHistogram
 
-	ssdBlockReads, ssdFineReads, ssdWrites                  *telemetry.LiveCounter
-	bytesRequested, bytesTransferred, bytesWritten          *telemetry.LiveCounter
-	pcHits, pcAccesses, fineHits, fineAccesses              *telemetry.LiveCounter
-	kvPuts, kvGets, kvRotations, kvCompactions              *telemetry.LiveCounter
-	kvBytesWritten, kvBytesRead                             *telemetry.LiveCounter
-	idxNodeReads, idxBloomChecks, idxBloomNegative          *telemetry.LiveCounter
-	idxCacheHits, idxCacheMisses                            *telemetry.LiveCounter
-	idxBytesRead, idxBytesWritten                           *telemetry.LiveCounter
-	fInjected, fECCRetries, fUncorrectable                  *telemetry.LiveCounter
-	fRingFallbacks, fDMAFallbacks, fProgRetries, fWBRetries *telemetry.LiveCounter
+	ssdBlockReads, ssdFineReads, ssdWrites                  *telemetry.Counter
+	bytesRequested, bytesTransferred, bytesWritten          *telemetry.Counter
+	pcHits, pcAccesses, fineHits, fineAccesses              *telemetry.Counter
+	kvPuts, kvGets, kvRotations, kvCompactions              *telemetry.Counter
+	kvBytesWritten, kvBytesRead                             *telemetry.Counter
+	idxNodeReads, idxBloomChecks, idxBloomNegative          *telemetry.Counter
+	idxCacheHits, idxCacheMisses                            *telemetry.Counter
+	idxBytesRead, idxBytesWritten                           *telemetry.Counter
+	fInjected, fECCRetries, fUncorrectable                  *telemetry.Counter
+	fRingFallbacks, fDMAFallbacks, fProgRetries, fWBRetries *telemetry.Counter
 
 	mu      sync.Mutex
 	total   int
 	cells   map[string]*cellState
-	resBusy map[string]*telemetry.LiveCounter
+	resBusy map[string]*telemetry.Counter
 }
 
 // cellState is one cell's /progress record.
@@ -56,7 +56,7 @@ type cellState struct {
 
 // NewLive registers the harness's metric families on reg.
 func NewLive(reg *telemetry.Registry) *Live {
-	l := &Live{reg: reg, cells: make(map[string]*cellState), resBusy: make(map[string]*telemetry.LiveCounter)}
+	l := &Live{reg: reg, cells: make(map[string]*cellState), resBusy: make(map[string]*telemetry.Counter)}
 	l.cellsDone = reg.Counter("bench_cells_done_total", "experiment cells completed")
 	l.opsDone = reg.Counter("bench_ops_total", "measured simulated operations completed by finished cells")
 	l.cellWall = reg.Histogram("bench_cell_wall_seconds", "wall-clock cost of one cell",
@@ -148,7 +148,7 @@ func (l *Live) AddResources(s *resource.Snapshot) {
 		return
 	}
 	l.mu.Lock()
-	counters := make([]*telemetry.LiveCounter, 0, len(s.Resources))
+	counters := make([]*telemetry.Counter, 0, len(s.Resources))
 	values := make([]uint64, 0, len(s.Resources))
 	for _, r := range s.Resources {
 		if strings.Contains(r.Name, ".w") {

@@ -140,8 +140,8 @@ func (p *Pool) runCell(c Cell) error {
 		pf.Ops = res.Snapshot.Ops
 		pf.SimOpsPerSec = res.Snapshot.ThroughputOpsPerSec()
 		pf.ReadAmp = res.Snapshot.IO.ReadAmplification()
-		pf.MeanUs = res.Snapshot.MeanLat.Micros()
-		pf.P99Us = res.Snapshot.P99Lat.Micros()
+		pf.MeanUs = res.Hist.Mean().Micros()
+		pf.P99Us = res.Hist.Quantile(0.99).Micros()
 		p.live.AddSnapshot(&res.Snapshot)
 		p.live.AddResources(res.Resources)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pipette/internal/baseline"
 	"pipette/internal/buildinfo"
+	"pipette/internal/metrics"
 	"pipette/internal/nvme"
 	"pipette/internal/report"
 	"pipette/internal/sim"
@@ -63,23 +64,7 @@ func RunOpenLoop(e baseline.Engine, gen workload.Generator, requests int, opts O
 	}
 
 	eng := sim.NewEngine()
-	buf := make([]byte, 4096)
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i*7 + 13)
-	}
-	grow := func(n int) {
-		for n > len(buf) {
-			buf = make([]byte, 2*len(buf))
-		}
-		for n > len(payload) {
-			old := payload
-			payload = make([]byte, 2*len(payload))
-			copy(payload, old)
-			copy(payload[len(old):], old)
-		}
-	}
-
+	b := newReplayBufs()
 	base := e.Snapshot()
 	res := &Result{Offered: opts.Offered, Depth: depth, Arrivals: opts.Arrivals.Name()}
 
@@ -112,18 +97,11 @@ func RunOpenLoop(e baseline.Engine, gen workload.Generator, requests int, opts O
 		for runErr == nil && inFlight < depth && head < len(queue) {
 			p := queue[head]
 			head++
-			grow(p.req.Size)
 			// Arm the stage account with the true arrival time: the span
 			// [arrival, now) becomes the request's queue stage and its
 			// latency is measured from arrival.
 			e.Stages().PreQueue(p.arrival)
-			var done sim.Time
-			var err error
-			if p.req.Write {
-				done, err = e.WriteAt(now, payload[:p.req.Size], p.req.Off)
-			} else {
-				done, err = e.ReadAt(now, buf[:p.req.Size], p.req.Off)
-			}
+			done, err := b.serve(e, now, p.req)
 			if err != nil {
 				if !opts.TolerateMediaErrors || !errors.Is(err, nvme.ErrUncorrectable) {
 					runErr = fmt.Errorf("bench: open-loop request %d (%+v): %w", head-1, p.req, err)
@@ -173,16 +151,7 @@ func RunOpenLoop(e baseline.Engine, gen workload.Generator, requests int, opts O
 	res.Heat = grid.Snapshot()
 	res.Stages = e.Stages().Snapshot()
 	res.Resources = e.Resources().Snapshot(lastDone)
-	snap := e.Snapshot()
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(requests) - res.Lost - res.Rejected
-	snap.Elapsed = lastDone
-	snap.MeanLat = res.Hist.Mean()
-	snap.P99Lat = res.Hist.Quantile(0.99)
-	snap.MaxLat = res.Hist.Max()
-	res.Snapshot = snap
+	res.Snapshot = measured(e.Snapshot(), base, uint64(requests)-res.Lost-res.Rejected, lastDone)
 	return res, nil
 }
 
@@ -361,9 +330,9 @@ func WriteQDepth(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) 
 }
 
 func renderQDepthTable(w io.Writer, points []qdepthPoint, slots []*Result) {
-	t := &simpleTable{header: []string{
+	t := &metrics.Table{Rows: [][]string{{
 		"engine", "qd", "arrivals", "offered/s", "achieved/s",
-		"mean(us)", "p50(us)", "p99(us)", "queue(us)", "rejected"}}
+		"mean(us)", "p50(us)", "p99(us)", "queue(us)", "rejected"}}}
 	for i, pt := range points {
 		r := slots[i]
 		if r == nil {
@@ -385,7 +354,7 @@ func renderQDepthTable(w io.Writer, points []qdepthPoint, slots []*Result) {
 			queueUs = (sim.Time(int64(r.Stages.Totals[telemetry.StageQueue])) /
 				sim.Time(int64(r.Stages.Requests))).Micros()
 		}
-		t.addRow(
+		t.AddRow(
 			EngineNames[pt.engine], qd, arrName, offered,
 			fmt.Sprintf("%.0f", r.Snapshot.ThroughputOpsPerSec()),
 			fmt.Sprintf("%.2f", r.Hist.Mean().Micros()),
@@ -395,7 +364,7 @@ func renderQDepthTable(w io.Writer, points []qdepthPoint, slots []*Result) {
 			fmt.Sprintf("%d", r.Rejected),
 		)
 	}
-	io.WriteString(w, t.render())
+	io.WriteString(w, t.Render())
 }
 
 // renderQDepthKnees prints each (engine, depth) Poisson curve's saturation
@@ -422,53 +391,4 @@ func renderQDepthKnees(w io.Writer, s Scale, points []qdepthPoint, slots []*Resu
 			fmt.Fprintf(w, "  %-18s qd=%-4d %s\n", EngineNames[ei], d, knee)
 		}
 	}
-}
-
-// simpleTable is a minimal fixed-width renderer mirroring metrics.Table's
-// look for the qdepth sweep (kept local: the sweep right-aligns numeric
-// columns and metrics.Table is shared API).
-type simpleTable struct {
-	header []string
-	rows   [][]string
-}
-
-func (t *simpleTable) addRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *simpleTable) render() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b []byte
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b = append(b, ' ', ' ')
-			}
-			if i == 0 {
-				b = append(b, c...)
-				for j := len(c); j < widths[i]; j++ {
-					b = append(b, ' ')
-				}
-			} else {
-				for j := len(c); j < widths[i]; j++ {
-					b = append(b, ' ')
-				}
-				b = append(b, c...)
-			}
-		}
-		b = append(b, '\n')
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return string(b)
 }

@@ -141,7 +141,7 @@ func RunSearchEngine(s Scale, p *Pool) (*metrics.Table, error) {
 			fmt.Sprintf("%.0f", ops),
 			fmt.Sprintf("%.2fx", ops/blkOps),
 			fmt.Sprintf("%.1f", snap.IO.TrafficMB()),
-			fmt.Sprintf("%.1f", snap.MeanLat.Micros()),
+			fmt.Sprintf("%.1f", results[ei].Hist.Mean().Micros()),
 		)
 	}
 	return t, nil
@@ -191,8 +191,8 @@ func RunWriteBuffer(s Scale, p *Pool) (*metrics.Table, error) {
 		}
 		t.AddRow(label,
 			fmt.Sprintf("%.0f", results[bi].Snapshot.ThroughputOpsPerSec()),
-			fmt.Sprintf("%.1f", results[bi].Snapshot.MeanLat.Micros()),
-			fmt.Sprintf("%.1f", results[bi].Snapshot.P99Lat.Micros()),
+			fmt.Sprintf("%.1f", results[bi].Hist.Mean().Micros()),
+			fmt.Sprintf("%.1f", results[bi].Hist.Quantile(0.99).Micros()),
 		)
 	}
 	return t, nil

@@ -185,7 +185,7 @@ func writeLatencySweep(w io.Writer, s Scale, p *Pool) error {
 	for _, name := range EngineNames {
 		row := []string{name}
 		for _, size := range s.LatencySizes {
-			row = append(row, fmt.Sprintf("%.1f", res[name][size].Snapshot.MeanLat.Micros()))
+			row = append(row, fmt.Sprintf("%.1f", res[name][size].Hist.Mean().Micros()))
 		}
 		t.AddRow(row...)
 	}

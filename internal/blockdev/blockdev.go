@@ -141,7 +141,9 @@ func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint
 			return now, moved, fmt.Errorf("blockdev: read submit: %w", err)
 		}
 		if !comp.Ok() {
-			return comp.Done, moved, fmt.Errorf("blockdev: read [%d,+%d): %w", r.start, r.count, comp.Status.Err())
+			// The request already waited for every earlier command, so it
+			// fails no earlier than the latest of them.
+			return max(done, comp.Done), moved, fmt.Errorf("blockdev: read [%d,+%d): %w", r.start, r.count, comp.Status.Err())
 		}
 		for i := 0; i < r.count; i++ {
 			deliver(r.start+uint64(i), buf[i*l.pageSize:(i+1)*l.pageSize])

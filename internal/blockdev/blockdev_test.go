@@ -2,11 +2,16 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
+	"pipette/internal/fault"
 	"pipette/internal/ftl"
 	"pipette/internal/nvme"
+	"pipette/internal/sim"
 	"pipette/internal/ssd"
+	"pipette/internal/telemetry"
 )
 
 func testStack(t testing.TB) (*ssd.Controller, *Layer) {
@@ -131,6 +136,76 @@ func TestReadPagesScatteredRace(t *testing.T) {
 	}
 	if l.Stats().ReadCommands != 3 {
 		t.Fatalf("commands = %d, want 3", l.Stats().ReadCommands)
+	}
+}
+
+// TestReadPagesFailureWaitsForEarlierCommands: merged commands race on the
+// device, so a later command can fail uncorrectably before an earlier,
+// longer one completes. The request has already waited for that earlier
+// command, so the failure is reported no earlier than its completion.
+func TestReadPagesFailureWaitsForEarlierCommands(t *testing.T) {
+	const (
+		longPages = 8  // LBAs [0, longPages): one command, issued first
+		bad       = 40 // the one LBA whose reads fail uncorrectably
+	)
+	read := func(lbas []uint64) (sim.Time, error) {
+		prof, err := fault.ParseProfile(fmt.Sprintf("nand.read:1@%d-%d", bad, bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ssd.DefaultConfig()
+		cfg.NAND.Channels = 2
+		cfg.NAND.WaysPerChannel = 2
+		cfg.NAND.PlanesPerDie = 1
+		cfg.NAND.BlocksPerPlane = 16
+		cfg.NAND.PagesPerBlock = 32
+		cfg.ECCUncorrectableFrac = 1
+		cfg.ECCRetrySteps = 0 // fail on the first sense
+		ins := &telemetry.Instruments{Injector: prof.NewInjector(1)}
+		ctrl, err := ssd.New(cfg, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Allocation rotates over the four dies: steer the long command's
+		// pages onto one die, so it reads them serially, and the bad page
+		// onto another, idle one.
+		preload := func(lba uint64) {
+			if err := ctrl.FTL().Preload(ftl.LBA(lba)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		filler := uint64(100)
+		for i := uint64(0); i < longPages; i++ {
+			preload(i)
+			for j := 0; j < 3; j++ {
+				preload(filler)
+				filler++
+			}
+		}
+		preload(filler)
+		preload(bad)
+		l, err := New(nvme.NewDriverQueues(ctrl, 1, 64, nvme.DefaultCosts(), ins), ctrl.PageSize(), DefaultConfig(), ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, _, err := l.ReadPagesEach(0, lbas, func(uint64, []byte) {})
+		return done, err
+	}
+
+	long := make([]uint64, longPages)
+	for i := range long {
+		long[i] = uint64(i)
+	}
+	longDone, err := read(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failDone, err := read(append(long, bad))
+	if !errors.Is(err, nvme.ErrUncorrectable) {
+		t.Fatalf("err = %v, want uncorrectable", err)
+	}
+	if failDone < longDone {
+		t.Fatalf("failed read completes at %v, before the earlier command it waited for (%v)", failDone, longDone)
 	}
 }
 

@@ -219,10 +219,7 @@ type Snapshot struct {
 
 	Ops      uint64   // completed read/write operations
 	Elapsed  sim.Time // virtual time consumed
-	MeanLat  sim.Time
-	P99Lat   sim.Time
-	MaxLat   sim.Time
-	MemoryMB float64 // resident cache memory at end of run
+	MemoryMB float64  // resident cache memory at end of run
 }
 
 // ThroughputOpsPerSec reports operations per virtual second.

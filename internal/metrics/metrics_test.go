@@ -147,6 +147,22 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestTableRenderHeaderless pins the header-less form: with no Header the
+// first row renders like any other, with no dashed rule under it, the
+// first column left-aligned and the rest right-aligned.
+func TestTableRenderHeaderless(t *testing.T) {
+	tab := Table{Rows: [][]string{{"engine", "qd", "mean(us)"}}}
+	tab.AddRow("Block I/O", "16", "7.25")
+	tab.AddRow("Pipette", "1", "123.50")
+	want := "" +
+		"engine     qd  mean(us)\n" +
+		"Block I/O  16      7.25\n" +
+		"Pipette     1    123.50\n"
+	if got := tab.Render(); got != want {
+		t.Fatalf("Render =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTableRowArityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

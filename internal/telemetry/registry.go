@@ -19,7 +19,7 @@ import (
 //
 // Two kinds of series coexist:
 //
-//   - Owned values (LiveCounter, LiveGauge, LiveHistogram) are atomic
+//   - Owned values (Counter, LiveGauge, LiveHistogram) are atomic
 //     words the instrumented code writes from any goroutine; a scrape
 //     reads them without locks, so the deterministic simulator is never
 //     perturbed by an attached scraper.
@@ -80,27 +80,12 @@ type family struct {
 type series struct {
 	labels []Label
 
-	counter     *LiveCounter
+	counter     *Counter
 	gauge       *LiveGauge
 	hist        *LiveHistogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
 }
-
-// LiveCounter is a monotonically increasing series value. Add is one
-// atomic add; scraping reads the word without coordination.
-type LiveCounter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *LiveCounter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *LiveCounter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *LiveCounter) Load() uint64 { return c.v.Load() }
 
 // LiveGauge is a settable series value (float64 behind atomic bits).
 type LiveGauge struct {
@@ -170,9 +155,9 @@ func NewRegistry(constLabels ...Label) *Registry {
 }
 
 // Counter registers (or extends) a counter family and returns the series'
-// live value.
-func (r *Registry) Counter(name, help string, labels ...Label) *LiveCounter {
-	c := &LiveCounter{}
+// live value; scraping reads it without coordination.
+func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	c := &Counter{}
 	r.add(name, help, kindCounter, &series{labels: labels, counter: c})
 	return c
 }
